@@ -19,10 +19,12 @@ Claims measured (and asserted, so regressions fail the suite):
 * S1d: coalescing same-spec sample requests into one ``sample_batch``
   kernel pass beats answering them one at a time (recorded; this is the
   server's batching win, independent of core count).
-* S1e: the async TCP server serves N parallel clients ≥ 3x faster than
-  the same workload issued sequentially over one connection —
-  cross-connection coalescing plus concurrent I/O is the whole point of
-  the asyncio rewrite.  Responses are byte-identical either way.
+* S1e: the async TCP server coalesces across connections — N parallel
+  clients get ≥ 2 requests per engine pass (best of 3 rounds), where one
+  sequential connection gets exactly one.  Responses are byte-identical
+  either way.  The wall-clock speedup is recorded, not gated: clients
+  and server share one GIL here, so it tracks CPU contention (≈1.2x on
+  an idle 2-vCPU machine, below 1x with a CPU burner alongside).
 * S1f: streamed enumeration's first chunk arrives in well under two
   seconds on a 2⁶⁰-word witness set — the constant-delay guarantee as a
   user-visible first-result latency, impossible if the server
@@ -323,8 +325,8 @@ def test_engine_throughput_and_identity(observe):
 
 def test_coalescing_beats_one_at_a_time(observe):
     # The classic serving shape: many independent single-sample requests
-    # on one hot instance — exactly what the server's batch window
-    # coalesces into one kernel pass.
+    # on one hot instance — exactly what the server coalesces into one
+    # kernel pass when they arrive while it is busy with a batch.
     spec = _specs()[0]
     burst = [
         {"id": i, "op": "sample", "spec": spec, "k": 1, "seed": i}
@@ -383,67 +385,100 @@ def _burst(client_index: int, spec: dict) -> list[dict]:
     ]
 
 
+class _PassCountingEngine(Engine):
+    """An in-process engine counting its ``execute`` calls: the server
+    makes one call per batch, so requests per call is its coalescing."""
+
+    def __init__(self):
+        super().__init__(workers=0)
+        self.passes = 0
+
+    def execute(self, requests):
+        self.passes += 1
+        return super().execute(requests)
+
+
+def _sequential_round(host, port, spec) -> tuple[float, list]:
+    """Every client's burst over one connection, each request awaited."""
+    results: list = []
+    started = time.perf_counter()
+    with ServiceClient(host, port, timeout=60) as client:
+        for index in range(CLIENTS):
+            for request in _burst(index, spec):
+                results.append(client.result("sample", spec, k=1, seed=request["seed"]))
+    return time.perf_counter() - started, results
+
+
+def _parallel_round(host, port, spec) -> tuple[float, list]:
+    """The same bursts, one connection per client thread."""
+    per_client: list = [None] * CLIENTS
+    barrier = threading.Barrier(CLIENTS)
+
+    def client_main(index: int) -> None:
+        with ServiceClient(host, port, timeout=60) as client:
+            barrier.wait(timeout=10)
+            per_client[index] = [
+                client.result("sample", spec, k=1, seed=request["seed"])
+                for request in _burst(index, spec)
+            ]
+
+    threads = [
+        threading.Thread(target=client_main, args=(index,))
+        for index in range(CLIENTS)
+    ]
+    started = time.perf_counter()
+    for worker in threads:
+        worker.start()
+    for worker in threads:
+        worker.join(timeout=120)
+    seconds = time.perf_counter() - started
+    return seconds, [r for results in per_client for r in results]
+
+
 def test_concurrent_clients_beat_sequential(observe):
     """S1e: N parallel clients vs the same requests sequentially."""
     spec = _specs()[0]
-    engine = Engine(workers=0)
+    engine = _PassCountingEngine()
     thread, (host, port) = _start_server(engine)
+    total = CLIENTS * REQUESTS_PER_CLIENT
     try:
         with ServiceClient(host, port, timeout=60) as warm:
             warm.request("count", spec)  # compile once before timing
 
-        # Sequential: one connection, every request awaited in turn.
-        sequential_results: list = []
-        started = time.perf_counter()
-        with ServiceClient(host, port, timeout=60) as client:
-            for index in range(CLIENTS):
-                for request in _burst(index, spec):
-                    sequential_results.append(
-                        client.result(request["op"], spec, k=1, seed=request["seed"])
-                    )
-        sequential_seconds = time.perf_counter() - started
+        sequential_seconds = parallel_seconds = float("inf")
+        parallel_passes = []
+        for _ in range(3):  # best-of-3 against scheduler noise
+            engine.passes = 0
+            seconds, sequential_results = _sequential_round(host, port, spec)
+            sequential_seconds = min(sequential_seconds, seconds)
+            assert engine.passes == total, "a lone request has nothing to join"
 
-        # Parallel: one connection per client thread, same total work.
-        parallel_results: list = [None] * CLIENTS
-        barrier = threading.Barrier(CLIENTS)
+            engine.passes = 0
+            seconds, parallel_results = _parallel_round(host, port, spec)
+            parallel_seconds = min(parallel_seconds, seconds)
+            parallel_passes.append(engine.passes)
+            assert parallel_results == sequential_results, (
+                "parallel responses must be byte-identical to sequential ones"
+            )
 
-        def client_main(index: int) -> None:
-            with ServiceClient(host, port, timeout=60) as client:
-                barrier.wait(timeout=10)
-                results = []
-                for request in _burst(index, spec):
-                    results.append(
-                        client.result(request["op"], spec, k=1, seed=request["seed"])
-                    )
-                parallel_results[index] = results
-
-        threads = [
-            threading.Thread(target=client_main, args=(index,))
-            for index in range(CLIENTS)
-        ]
-        started = time.perf_counter()
-        for worker in threads:
-            worker.start()
-        for worker in threads:
-            worker.join(timeout=120)
-        parallel_seconds = time.perf_counter() - started
-
-        flattened = [r for results in parallel_results for r in results]
-        assert flattened == sequential_results, (
-            "parallel responses must be byte-identical to sequential ones"
-        )
-        total = CLIENTS * REQUESTS_PER_CLIENT
+        per_pass = total / min(parallel_passes)
         speedup = sequential_seconds / parallel_seconds
         observe(
             "S1e",
             f"{total} single-sample requests: sequential={sequential_seconds:.2f}s "
             f"({total / sequential_seconds:.0f} req/s) {CLIENTS}-parallel="
             f"{parallel_seconds:.2f}s ({total / parallel_seconds:.0f} req/s) "
-            f"speedup={speedup:.1f}x",
+            f"speedup={speedup:.1f}x; parallel engine passes {parallel_passes} "
+            f"({per_pass:.1f} requests/pass)",
         )
-        assert speedup >= 3.0, (
-            f"{CLIENTS} parallel clients must be ≥3x faster than sequential, "
-            f"got {speedup:.1f}x"
+        # Closed-loop clients settle into two cohorts: those answered by
+        # one pass send while the next pass runs, so a pass carries at
+        # most about half the clients (≈4 of 8; 2.6–3.9 per round on a
+        # 2-vCPU VM).  Serving connections one at a time, or not
+        # coalescing across them, gives 1.
+        assert per_pass >= 2.0, (
+            f"{CLIENTS} parallel clients must coalesce ≥2 requests per engine "
+            f"pass, got {per_pass:.1f}"
         )
     finally:
         try:

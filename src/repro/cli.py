@@ -179,7 +179,12 @@ def _command_count(args) -> int:
     ws = _load_witness_set(args)
     name = args.backend or ("fpras" if args.approx else "exact")
     if backends.get(name).exact:
-        print(ws.count(name))
+        from decimal import Decimal
+
+        # Decimal renders every digit without touching the interpreter's
+        # int-to-str limit (4300 digits), which guards parsing untrusted
+        # input, not printing this command's own exact count.
+        print(Decimal(ws.count(name)))
     else:
         print(f"{ws.count(name, delta=args.delta, rng=args.seed):.6g}")
     return 0
@@ -357,7 +362,6 @@ def _command_serve(args) -> int:
         store_root=args.store,
         max_resident=args.max_resident,
     )
-    window = args.batch_window / 1000.0
     max_line = args.max_line if args.max_line is not None else DEFAULT_MAX_LINE
     max_connections = (
         args.max_connections
@@ -367,7 +371,7 @@ def _command_serve(args) -> int:
     slow_query_log = _resolve_slow_query_log(args.slow_query_log, args.slow_query_ms)
     try:
         if args.port is None:
-            return serve_stdio(engine, batch_window=window, max_line=max_line)
+            return serve_stdio(engine, max_line=max_line)
 
         def announce(address) -> None:
             print(f"listening on {address[0]}:{address[1]}", file=sys.stderr, flush=True)
@@ -376,7 +380,6 @@ def _command_serve(args) -> int:
             engine,
             host=args.host,
             port=args.port,
-            batch_window=window,
             ready_callback=announce,
             max_line=max_line,
             request_timeout=args.request_timeout or None,
@@ -602,8 +605,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="engine worker processes (0 = in-process)")
     serve.add_argument("--store", default=None, metavar="DIR",
                        help="KernelStore directory for warm-start persistence")
-    serve.add_argument("--batch-window", type=float, default=5.0, metavar="MS",
-                       help="coalescing grace period in milliseconds")
     serve.add_argument("--max-resident", type=int, default=64,
                        help="witness sets kept hot per worker")
     serve.add_argument("--max-line", type=int, default=None, metavar="BYTES",

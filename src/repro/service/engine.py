@@ -52,9 +52,9 @@ if TYPE_CHECKING:
     from multiprocessing.process import BaseProcess
     from multiprocessing.queues import Queue as MPQueue
 
-#: One routed work item: (batch id, group index, request group); ``None``
-#: is the worker shutdown sentinel.
-_Task: TypeAlias = "tuple[int, int, list[dict[str, Any]]] | None"
+#: One routed work item: (batch id, group index, group key, request
+#: group); ``None`` is the worker shutdown sentinel.
+_Task: TypeAlias = "tuple[int, int, str, list[dict[str, Any]]] | None"
 
 #: One worker answer: (batch id, group index, response group).
 _Result: TypeAlias = "tuple[int, int, list[dict[str, Any]]]"
@@ -91,7 +91,7 @@ def _worker_main(
         item = tasks.get()
         if item is None:
             break
-        batch_id, group_index, group = item
+        batch_id, group_index, key, group = item
         if len(group) == 1 and group[0].get("op") in CONTROL_OPS:
             request = group[0]
             response: dict[str, Any] = {
@@ -112,7 +112,7 @@ def _worker_main(
             results.put((batch_id, group_index, [response]))
             continue
         results.put(
-            (batch_id, group_index, execute_group(cache, group, worker=worker_id))
+            (batch_id, group_index, execute_group(cache, group, key, worker=worker_id))
         )
 
 
@@ -243,22 +243,26 @@ class Engine:
         return value % self.workers
 
     @staticmethod
-    def group_requests(requests: list[dict[str, Any]]) -> list[list[dict[str, Any]]]:
-        """Partition a batch into per-spec groups (order-stable).
+    def group_requests(
+        requests: list[dict[str, Any]],
+    ) -> list[tuple[str, list[dict[str, Any]]]]:
+        """Partition a batch into ``(key, group)`` pairs (order-stable).
 
-        Control ops (``ping`` / ``stats``) become singleton groups;
-        everything else groups by spec key so
+        Everything with a spec groups by its spec key — computed here,
+        once per request, and handed on for routing and the cache — so
         :func:`~repro.service.protocol.execute_group` can coalesce the
-        sample ops inside each group into one kernel pass.
+        sample ops inside each group into one kernel pass.  Control ops
+        (``ping`` / ``stats``) and spec-less requests become singleton
+        groups keyed by their request id (they never reach the cache).
         """
         grouped: defaultdict[str, list[dict[str, Any]]] = defaultdict(list)
-        singletons: list[list[dict[str, Any]]] = []
+        singletons: list[tuple[str, list[dict[str, Any]]]] = []
         for request in requests:
             if request.get("op") in CONTROL_OPS or "spec" not in request:
-                singletons.append([request])
+                singletons.append((str(request.get("id")), [request]))
             else:
                 grouped[spec_key(request["spec"])].append(request)
-        return list(grouped.values()) + singletons
+        return list(grouped.items()) + singletons
 
     # ------------------------------------------------------------------
     # Execution
@@ -289,11 +293,11 @@ class Engine:
             cache = self._local_cache
             assert cache is not None  # always built when workers == 0
             responses: list[dict[str, Any]] = []
-            for group in groups:
+            for key, group in groups:
                 if len(group) == 1 and group[0].get("op") in CONTROL_OPS:
                     responses.append(self._control_response(group[0]))
                 else:
-                    responses.extend(execute_group(cache, group))
+                    responses.extend(execute_group(cache, group, key))
         else:
             responses = self._execute_pooled(groups)
         return self._order_responses(requests, responses)
@@ -363,23 +367,22 @@ class Engine:
         response["result"] = cache.stats() if request["op"] == "stats" else "pong"
         return response
 
-    def _execute_pooled(self, groups: list[list[dict[str, Any]]]) -> list[dict[str, Any]]:
+    def _execute_pooled(
+        self, groups: list[tuple[str, list[dict[str, Any]]]]
+    ) -> list[dict[str, Any]]:
         results = self._results
         assert results is not None  # always built when workers > 0
         with self._pool_lock:
             return self._drain_batch(groups, results)
 
     def _drain_batch(
-        self, groups: list[list[dict[str, Any]]], results: MPQueue[_Result]
+        self, groups: list[tuple[str, list[dict[str, Any]]]], results: MPQueue[_Result]
     ) -> list[dict[str, Any]]:
         batch_id = next(self._batch_ids)
         pending: dict[int, tuple[int, list[dict[str, Any]]]] = {}
-        for group_index, group in enumerate(groups):
-            key = spec_key(group[0]["spec"]) if "spec" in group[0] else str(
-                group[0].get("id")
-            )
+        for group_index, (key, group) in enumerate(groups):
             worker = self.route(key)
-            self._task_queues[worker].put((batch_id, group_index, group))
+            self._task_queues[worker].put((batch_id, group_index, key, group))
             pending[group_index] = (worker, group)
         responses: list[dict[str, Any]] = []
         while pending:
@@ -521,8 +524,9 @@ class Engine:
                 if not self._processes[worker].is_alive():
                     out.append({"worker": worker, "alive": False})
                     continue
+                stats_id = f"stats-{worker}"
                 self._task_queues[worker].put(
-                    (batch_id, worker, [{"id": f"stats-{worker}", "op": "stats"}])
+                    (batch_id, worker, stats_id, [{"id": stats_id, "op": "stats"}])
                 )
                 expected.add(worker)
             deadline = time.monotonic() + _STATS_DEADLINE_SECONDS

@@ -439,12 +439,16 @@ def _execute_one(ws: WitnessSet, request: dict[str, Any]) -> Any:
 def execute_group(
     cache: WitnessSetCache,
     requests: list[dict[str, Any]],
+    key: str,
     worker: int | None = None,
 ) -> list[dict[str, Any]]:
-    """Execute requests that share one spec key; coalesce the sample ops.
+    """Execute requests that share spec key ``key``; coalesce the sample ops.
 
-    Returns one response per request, in request order.  Failures are
-    per-request: one bad request never poisons its batch siblings.
+    ``key`` is the group's :func:`spec_key`, computed once per request
+    by the caller's grouping (see ``Engine.group_requests``) and never
+    again here.  Returns one response per request, in request order.
+    Failures are per-request: one bad request never poisons its batch
+    siblings.
     """
     # Responses are keyed by batch position, never by object identity:
     # a request object submitted twice in one group (client retry reusing
@@ -465,16 +469,16 @@ def execute_group(
             continue
         # Non-sample ops and invalid-k sample requests (which must get
         # their own validation error, never a sibling's witnesses).
-        responses[position] = _respond(cache, request, worker)
+        responses[position] = _respond(cache, request, key, worker)
     if sampleable:
         # Denominator of the coalescing ratio: every sampleable request,
         # whether or not it ends up sharing a kernel pass.
         obs.metrics().counter(metric_names.SAMPLE_REQUESTS).inc(len(sampleable))
     if len(sampleable) == 1:
         position, request = sampleable[0]
-        responses[position] = _respond(cache, request, worker)
+        responses[position] = _respond(cache, request, key, worker)
     elif sampleable:
-        responses.update(_respond_coalesced(cache, sampleable, worker))
+        responses.update(_respond_coalesced(cache, sampleable, key, worker))
     return [responses[position] for position in range(len(requests))]
 
 
@@ -520,7 +524,7 @@ def _attach_timing(
 
 
 def _respond(
-    cache: WitnessSetCache, request: dict[str, Any], worker: int | None
+    cache: WitnessSetCache, request: dict[str, Any], key: str, worker: int | None
 ) -> dict[str, Any]:
     registry = obs.metrics()
     registry.counter(
@@ -537,7 +541,7 @@ def _respond(
     with obs.request_span() as span:
         _record_queue_wait(request, span)
         try:
-            ws = cache.get(spec_key(spec), spec)
+            ws = cache.get(key, spec)
             with span.stage(metric_names.STAGE_EXECUTION):
                 result = _execute_one(ws, request)
             response.update(ok=True, result=result)
@@ -555,6 +559,7 @@ def _respond(
 def _respond_coalesced(
     cache: WitnessSetCache,
     indexed: list[tuple[int, dict[str, Any]]],
+    key: str,
     worker: int | None,
 ) -> dict[int, dict[str, Any]]:
     """Sample requests on one witness set → one coalesced kernel pass.
@@ -572,7 +577,7 @@ def _respond_coalesced(
         # group was enqueued as one engine batch).
         with obs.request_span() as span:
             _record_queue_wait(first, span)
-            ws = cache.get(spec_key(first["spec"]), first["spec"])
+            ws = cache.get(key, first["spec"])
             with span.stage(metric_names.STAGE_EXECUTION):
                 batches = draw_samples_coalesced(
                     ws,
@@ -606,7 +611,7 @@ def _respond_coalesced(
         # Fall back to independent execution so one odd request (bad k,
         # empty set, ...) gets its own error and the others still answer.
         for position, request in indexed:
-            out[position] = _respond(cache, request, worker)
+            out[position] = _respond(cache, request, key, worker)
     return out
 
 

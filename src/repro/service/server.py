@@ -2,14 +2,14 @@
 
 One request per line in, one response per line out (see
 :mod:`repro.service.protocol` for the shapes).  The server's job is
-**batching**: instead of answering arrivals one by one, requests that
-have already arrived (plus a short ``batch_window`` grace for
-stragglers) are handed to the :class:`~repro.service.engine.Engine` as
-one batch — which groups by spec and coalesces same-spec sample
-requests into a single ``sample_batch`` kernel pass — and the responses
-are written back.  Under concurrent load this turns N same-instance
-requests costing N kernel walks into one walk, without changing any
-response byte (the substream contract).
+**batching while busy** (group commit): a request that reaches an idle
+server is executed at once; requests that arrive while a batch executes
+queue up and are handed to the :class:`~repro.service.engine.Engine`
+together as the next batch — which groups by spec and coalesces
+same-spec sample requests into a single ``sample_batch`` kernel pass.
+No request ever waits on a timer, and under concurrent load N
+same-instance requests costing N kernel walks become one walk, without
+changing any response byte (the substream contract).
 
 Front-ends:
 
@@ -63,7 +63,8 @@ killing the connection.
 
 Observability (see :mod:`repro.obs`): every front-door request is
 counted and timed (``repro_request_seconds``), server-side stages
-(parse, coalesce wait) join the per-stage histogram and — for requests
+(parse, and the coalesce wait — time spent queued behind a busy
+batch) join the per-stage histogram and — for requests
 sent with ``"trace": true`` — the response's ``timing`` breakdown; a
 plain HTTP ``GET`` on the TCP port answers with the Prometheus text
 exposition of the pool-wide registry; requests slower than the
@@ -80,6 +81,7 @@ import os
 import selectors
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from typing import IO, TYPE_CHECKING, Any, Callable, Coroutine
 
 from repro import obs
@@ -89,9 +91,6 @@ from repro.service.protocol import _op_label
 
 if TYPE_CHECKING:
     import threading
-
-#: Default grace period for coalescing stragglers into a batch (seconds).
-DEFAULT_BATCH_WINDOW = 0.005
 
 #: Default bound on one request line (bytes); longer lines are answered
 #: with a one-line JSON error instead of being buffered without bound.
@@ -151,6 +150,27 @@ def encode_response(response: dict[str, Any]) -> bytes:
     ) + b"\n"
 
 
+def _encode_reply(response: dict[str, Any]) -> bytes:
+    """The one encoding step of every send site.
+
+    A response that cannot be encoded (a count past the interpreter's
+    int-to-str digit limit) becomes a one-line error reply carrying the
+    request id, so each request still gets exactly one reply.  The limit
+    itself stays: it guards parsing of untrusted request lines against
+    quadratic int conversion.
+    """
+    try:
+        return encode_response(response)
+    except ValueError as error:
+        return encode_response(_error_response(response.get("id"), error))
+
+
+def _line_too_long(max_line: int) -> dict[str, Any]:
+    return _error_response(
+        None, ValueError(f"request line too long (max {max_line} bytes)")
+    )
+
+
 def _aggregate_server_stats(
     engine: Engine, per_worker: bool = False
 ) -> dict[str, Any]:
@@ -184,9 +204,8 @@ class WitnessServer:
     core serves the stdio front-end (and the tests drive it directly).
     """
 
-    def __init__(self, engine: Engine, batch_window: float = DEFAULT_BATCH_WINDOW) -> None:
+    def __init__(self, engine: Engine) -> None:
         self.engine = engine
-        self.batch_window = batch_window
         self.served = 0
         self.batches = 0
         self.shutting_down = False
@@ -243,20 +262,14 @@ def _answer_lines(
         if not text.strip():
             continue
         if len(text) > max_line:
-            stdout.write(
-                encode_response(
-                    _error_response(
-                        None, ValueError(f"request line too long (max {max_line} bytes)")
-                    )
-                ).decode("utf-8")
-            )
+            stdout.write(_encode_reply(_line_too_long(max_line)).decode("utf-8"))
             continue
         try:
             parsed.append((_parse_line(text), None))
         except ValueError as error:
-            stdout.write(encode_response(_error_response(None, error)).decode("utf-8"))
+            stdout.write(_encode_reply(_error_response(None, error)).decode("utf-8"))
     for response, _ in server.process(parsed):
-        stdout.write(encode_response(response).decode("utf-8"))
+        stdout.write(_encode_reply(response).decode("utf-8"))
     stdout.flush()
 
 
@@ -264,17 +277,18 @@ def serve_stdio(
     engine: Engine,
     stdin: IO[Any] | None = None,
     stdout: IO[Any] | None = None,
-    batch_window: float = DEFAULT_BATCH_WINDOW,
     max_line: int = DEFAULT_MAX_LINE,
 ) -> int:
     """Serve JSON-lines over stdin/stdout until EOF or ``shutdown``.
 
     Batching: on a real pipe the loop reads raw bytes from the file
-    descriptor (its own line framing, no stdio buffering in the way), so
-    everything the client has already written — plus a ``batch_window``
-    grace for stragglers — lands in one engine batch and same-spec
-    sample requests coalesce.  Non-selectable inputs (tests passing
-    ``StringIO``) fall back to line-at-a-time processing.
+    descriptor (its own line framing, no stdio buffering in the way).
+    Once the first bytes arrive it drains whatever else is already
+    readable, without waiting, so everything the client has written —
+    including what arrived while the previous batch executed — lands in
+    one engine batch and same-spec sample requests coalesce.
+    Non-selectable inputs (tests passing ``StringIO``) fall back to
+    line-at-a-time processing.
 
     A line longer than ``max_line`` is answered with a one-line JSON
     error and *discarded up to its newline* — the reader never grows an
@@ -283,7 +297,7 @@ def serve_stdio(
     """
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
-    server = WitnessServer(engine, batch_window)
+    server = WitnessServer(engine)
 
     fileno: int | None
     try:
@@ -303,16 +317,7 @@ def serve_stdio(
                 break
             newline = "\n" if isinstance(line, str) else b"\n"
             if len(line) > max_line and not line.endswith(newline):
-                stdout.write(
-                    encode_response(
-                        _error_response(
-                            None,
-                            ValueError(
-                                f"request line too long (max {max_line} bytes)"
-                            ),
-                        )
-                    ).decode("utf-8")
-                )
+                stdout.write(_encode_reply(_line_too_long(max_line)).decode("utf-8"))
                 stdout.flush()
                 while True:  # discard the rest of the oversized line
                     tail = stdin.readline(max_line)
@@ -343,13 +348,7 @@ def serve_stdio(
             lines = lines[1:]
             discarding = False
         if not discarding and len(buffer) > max_line:
-            stdout.write(
-                encode_response(
-                    _error_response(
-                        None, ValueError(f"request line too long (max {max_line} bytes)")
-                    )
-                ).decode("utf-8")
-            )
+            stdout.write(_encode_reply(_line_too_long(max_line)).decode("utf-8"))
             stdout.flush()
             buffer = b""
             discarding = True
@@ -362,12 +361,8 @@ def serve_stdio(
             if not chunk:
                 break
             lines = frame(chunk)
-            # Straggler grace: drain whatever else arrives in the window.
-            deadline = time.monotonic() + server.batch_window
-            while True:
-                timeout = deadline - time.monotonic()
-                if timeout <= 0 or not selector.select(timeout):
-                    break
+            # Batch what is already readable; never wait for more.
+            while selector.select(0):
                 chunk = os.read(fileno, 1 << 20)
                 if not chunk:
                     eof = True
@@ -452,17 +447,19 @@ class AsyncWitnessServer:
     """The concurrent TCP server: many connections, one batching pump.
 
     Every connection's requests land in one bounded queue; a single pump
-    task drains it (first arrival plus a ``batch_window`` straggler
-    grace), executes the whole batch in one engine call on a worker
-    thread, and fans the responses back out.  The engine is only ever
-    driven by the pump, so multiprocess result-queue consumption stays
-    single-consumer while any number of clients talk concurrently.
+    task awaits the first arrival, takes everything else already queued
+    (batch while busy: what arrived during the previous batch), executes
+    the whole batch in one engine call on the server's one engine
+    thread, and fans the responses back out.  An idle server answers a
+    lone request at once; under load, batches grow by themselves.  The
+    engine is only ever driven by the pump, so multiprocess result-queue
+    consumption stays single-consumer while any number of clients talk
+    concurrently.
     """
 
     def __init__(
         self,
         engine: Engine,
-        batch_window: float = DEFAULT_BATCH_WINDOW,
         max_line: int = DEFAULT_MAX_LINE,
         request_timeout: float | None = None,
         max_connections: int = DEFAULT_MAX_CONNECTIONS,
@@ -470,7 +467,12 @@ class AsyncWitnessServer:
         slow_query_log: obs.SlowQueryLog | None = None,
     ) -> None:
         self.engine = engine
-        self.batch_window = batch_window
+        #: Every engine call runs on this one thread: the pump is the
+        #: engine's only driver, and back-to-back batches on the default
+        #: pool would start extra threads, each with its own malloc arena.
+        self._engine_thread = ThreadPoolExecutor(  # owned-by: event-loop
+            max_workers=1, thread_name_prefix="repro-engine"
+        )
         self.max_line = max_line
         self.request_timeout = request_timeout
         self.max_connections = max_connections
@@ -564,6 +566,9 @@ class AsyncWitnessServer:
                 self._queue.task_done()
             for conn in list(self.connections):
                 await self._close_connection(conn)
+            # Idle after a graceful drain; after an abort this waits out
+            # the in-flight batch, off the event loop.
+            await loop.run_in_executor(None, self._engine_thread.shutdown)
             try:
                 await asyncio.wait_for(server.wait_closed(), timeout=1.0)
             except asyncio.TimeoutError:  # pragma: no cover - stuck handler
@@ -620,15 +625,7 @@ class AsyncWitnessServer:
                     # Oversized line: one JSON error, then close — the
                     # frame boundary is lost, resyncing is impossible.
                     self._m_malformed.inc()
-                    await self._send(
-                        conn,
-                        _error_response(
-                            None,
-                            ValueError(
-                                f"request line too long (max {self.max_line} bytes)"
-                            ),
-                        ),
-                    )
+                    await self._send(conn, _line_too_long(self.max_line))
                     break
                 except (OSError, ConnectionError):
                     break
@@ -764,7 +761,7 @@ class AsyncWitnessServer:
             return
         try:
             await asyncio.wait_for(
-                conn.write(encode_response(response)), timeout=self.write_timeout
+                conn.write(_encode_reply(response)), timeout=self.write_timeout
             )
         except asyncio.TimeoutError:
             # The client stopped reading: a backpressure stall that
@@ -928,21 +925,12 @@ class AsyncWitnessServer:
         queue = self._queue
         assert queue is not None  # run() builds the queue before starting the pump
         while True:
-            first = await queue.get()
-            batch = [first]
-            # Straggler grace: whatever any connection enqueues within
-            # the window joins this batch (cross-connection coalescing).
-            deadline = loop.time() + self.batch_window
-            while True:
-                timeout = deadline - loop.time()
-                if timeout <= 0:
-                    break
-                try:
-                    batch.append(
-                        await asyncio.wait_for(queue.get(), timeout=timeout)
-                    )
-                except asyncio.TimeoutError:
-                    break
+            batch = [await queue.get()]
+            # Batch while busy: whatever any connection enqueued while the
+            # previous batch executed joins this one (cross-connection
+            # coalescing); an idle server dispatches a lone request now.
+            while not queue.empty():
+                batch.append(queue.get_nowait())
             self._m_batch_size.record(float(len(batch)))
             self._m_queue_depth.set(queue.qsize())
             try:
@@ -1027,7 +1015,9 @@ class AsyncWitnessServer:
             exec_start = loop.time()
             for pending in live:
                 pending.exec_start = exec_start
-            responses = await loop.run_in_executor(None, self.engine.execute, requests)
+            responses = await loop.run_in_executor(
+                self._engine_thread, self.engine.execute, requests
+            )
             self.served += len(responses)
             self._dispatch(
                 [self._resolve(p, r) for p, r in zip(live, responses)]
@@ -1039,7 +1029,7 @@ class AsyncWitnessServer:
                 pending.request.get("per_worker") for pending in stats_items
             )
             stats = await loop.run_in_executor(
-                None, _aggregate_server_stats, self.engine, per_worker
+                self._engine_thread, _aggregate_server_stats, self.engine, per_worker
             )
             # Internal rounds (HTTP metrics scrapes resolve a future)
             # are monitoring plumbing, not served client requests.
@@ -1133,7 +1123,6 @@ def serve_tcp(
     engine: Engine,
     host: str = "127.0.0.1",
     port: int = 0,
-    batch_window: float = DEFAULT_BATCH_WINDOW,
     ready_callback: Callable[[Any], None] | None = None,
     *,
     max_line: int = DEFAULT_MAX_LINE,
@@ -1155,7 +1144,6 @@ def serve_tcp(
     """
     server = AsyncWitnessServer(
         engine,
-        batch_window=batch_window,
         max_line=max_line,
         request_timeout=request_timeout,
         max_connections=max_connections,
@@ -1203,7 +1191,6 @@ __all__ = [
     "serve_tcp",
     "start_tcp_server_thread",
     "encode_response",
-    "DEFAULT_BATCH_WINDOW",
     "DEFAULT_MAX_LINE",
     "DEFAULT_MAX_CONNECTIONS",
     "DEFAULT_WRITE_TIMEOUT",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.automata.serialization import nfa_to_json
@@ -48,6 +50,27 @@ class TestCount:
     def test_missing_input(self, capsys):
         with pytest.raises(SystemExit):
             main(["count", "-n", "3"])
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"),
+        reason="interpreter has no int-to-str digit limit",
+    )
+    def test_exact_count_past_int_str_digit_limit(self, capsys):
+        """4^8000 has 4817 decimal digits, past Python's default 4300
+        limit on int-to-str conversion: the command prints it whole and
+        leaves the interpreter's limit as it found it."""
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run_cli(
+            capsys, "count", "--regex", "(a|b|c|d)*", "--alphabet", "abcd", "-n", "8000"
+        )
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit
+        assert len(out.strip()) == 4817
+        sys.set_int_max_str_digits(0)
+        try:
+            assert out.strip() == str(4**8000)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestSampleEnumInspect:

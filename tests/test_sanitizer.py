@@ -243,7 +243,7 @@ def _scrape_race_trial(seed, guarded):
             if guarded:
                 lock.acquire()
             try:
-                tasks.put((batch_id, 0, [{"id": label, "op": "ping"}]))
+                tasks.put((batch_id, 0, label, [{"id": label, "op": "ping"}]))
                 got_batch, _, _ = replies.get(timeout=30)
                 if got_batch != batch_id:
                     wrong.append((label, got_batch))
@@ -360,7 +360,7 @@ class TestFuzzedEventLoop:
 
         async def drive():
             engine = Engine(workers=0)
-            server = AsyncWitnessServer(engine, batch_window=0.01)
+            server = AsyncWitnessServer(engine)
             ready = []
             run_task = asyncio.get_running_loop().create_task(
                 server.run("127.0.0.1", 0, ready.append)

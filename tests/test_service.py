@@ -10,15 +10,18 @@ import random
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
+from repro import obs
 from repro.api import WitnessSet
 from repro.automata.nfa import NFA
 from repro.automata.random_gen import random_nfa, random_ufa
 from repro.core.kernel import CompiledDAG, compile_nfa
 from repro.core.plan import Product, as_plan, lower_plan
 from repro.errors import InvalidAutomatonError
+from repro.obs import names as metric_names
 from repro.service import (
     Engine,
     FingerprintError,
@@ -38,6 +41,17 @@ from repro.service import (
 from repro.utils.rng import make_rng, spawn_seq, substreams
 
 SEED = 20190621
+
+#: 4^8000 has 4817 decimal digits: past Python's default 4300-digit
+#: int-to-str limit, so its count cannot be encoded as JSON text.
+HUGE_COUNT_SPEC = {
+    "kind": "regex", "pattern": "(a|b|c|d)*", "alphabet": "abcd", "n": 8000
+}
+#: The limit first shipped in Python 3.10.7; before it such counts encode.
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="interpreter has no int-to-str digit limit",
+)
 
 SPEC = {"kind": "regex", "pattern": "(ab|ba)*", "alphabet": "ab", "n": 10}
 SPEC2 = {
@@ -832,6 +846,29 @@ class TestServeStdio:
         assert len(samples) == 4 and all(r["ok"] for r in samples)
         assert all(r.get("coalesced") == 4 for r in samples)
 
+    @needs_digit_limit
+    def test_unencodable_response_gets_one_error_reply(self):
+        """A count too long to encode gets one ``ok: false`` line with
+        its id, and the loop goes on serving the next request."""
+        read_fd, write_fd = os.pipe()
+        payload = _request_lines(
+            [
+                {"id": "huge", "op": "count", "spec": HUGE_COUNT_SPEC},
+                {"id": "next", "op": "count", "spec": SPEC},
+            ]
+        )
+        os.write(write_fd, payload.encode("utf-8"))
+        os.close(write_fd)
+        stdout = io.StringIO()
+        with Engine(workers=0) as engine:
+            with os.fdopen(read_fd, "r") as stdin:
+                assert serve_stdio(engine, stdin=stdin, stdout=stdout) == 0
+        responses = [json.loads(line) for line in stdout.getvalue().splitlines()]
+        assert [r["id"] for r in responses] == ["huge", "next"]
+        assert not responses[0]["ok"]
+        assert responses[0]["error_type"] == "ValueError"
+        assert responses[1]["ok"] and responses[1]["result"] == 32
+
 
 def _start_tcp_server(engine, **kwargs):
     from repro.service.server import start_tcp_server_thread
@@ -839,10 +876,44 @@ def _start_tcp_server(engine, **kwargs):
     return start_tcp_server_thread(engine, **kwargs)
 
 
+class _GatedEngine(Engine):
+    """An in-process engine whose first ``execute`` blocks until
+    :attr:`release` is set; records the request ids of every batch."""
+
+    def __init__(self):
+        super().__init__(workers=0)
+        self.batches: list = []
+        self.busy = threading.Event()
+        self.release = threading.Event()
+
+    def execute(self, requests):
+        self.batches.append([request.get("id") for request in requests])
+        if len(self.batches) == 1:
+            self.busy.set()
+            assert self.release.wait(30), "test never released the engine"
+        return super().execute(requests)
+
+
+def _send_line(client, request):
+    client.sock.sendall(json.dumps(request).encode() + b"\n")
+
+
+def _wait_queued(depth):
+    """Block until the server's request queue holds ``depth`` requests.
+
+    Only valid while a :class:`_GatedEngine` is blocked: the pump is then
+    stuck in ``execute``, so only enqueues move the queue-depth gauge."""
+    gauge = obs.metrics().gauge(metric_names.SERVER_QUEUE_DEPTH)
+    deadline = time.monotonic() + 10
+    while gauge.value != depth:
+        assert time.monotonic() < deadline, f"queue depth {gauge.value} != {depth}"
+        time.sleep(0.001)
+
+
 @pytest.fixture
 def tcp_server():
     engine = Engine(workers=0)
-    thread, (host, port) = _start_tcp_server(engine, batch_window=0.05)
+    thread, (host, port) = _start_tcp_server(engine)
     yield host, port
     try:
         with ServiceClient(host, port, timeout=5) as client:
@@ -974,18 +1045,77 @@ class TestAsyncServe:
             engine.close()
 
     def test_request_deadline_answers_timeout(self):
-        engine = Engine(workers=0)
-        thread, (host, port) = _start_tcp_server(
-            engine, request_timeout=0.0001, batch_window=0.05
-        )
+        """A request whose deadline passes while it waits behind a busy
+        engine is answered with a TimeoutError and never executes."""
+        engine = _GatedEngine()
+        thread, (host, port) = _start_tcp_server(engine, request_timeout=0.0001)
         try:
-            with ServiceClient(host, port) as client:
-                response = client.request("count", SPEC)
+            with ServiceClient(host, port) as first, ServiceClient(host, port) as second:
+                # A per-request override beats the server default: the
+                # blocked first request keeps its 30 s budget.
+                _send_line(
+                    first, {"id": "a", "op": "count", "spec": SPEC, "timeout_ms": 30_000}
+                )
+                assert engine.busy.wait(10)
+                _send_line(second, {"id": "b", "op": "count", "spec": SPEC})
+                _wait_queued(1)
+                # "b" was enqueued before _wait_queued returned, so after
+                # 1 ms its 0.1 ms deadline has passed, engine still busy.
+                time.sleep(0.001)
+                engine.release.set()
+                answered = json.loads(first._read_line())
+                assert answered["ok"] and answered["result"] == 32
+                timed_out = json.loads(second._read_line())
+                assert timed_out["id"] == "b" and not timed_out["ok"]
+                assert timed_out["error_type"] == "TimeoutError"
+                assert engine.batches == [["a"]]
+                first.shutdown()
+        finally:
+            engine.release.set()
+            thread.join(timeout=10)
+            engine.close()
+
+    def test_batch_while_busy(self):
+        """An idle server executes a lone request at once; everything
+        that arrives while that batch runs forms the next batch, across
+        connections, and its same-spec samples share one kernel pass."""
+        engine = _GatedEngine()
+        thread, (host, port) = _start_tcp_server(engine)
+        try:
+            with ServiceClient(host, port) as one, ServiceClient(host, port) as two:
+                _send_line(one, {"id": "A", "op": "sample", "spec": SPEC, "seed": 0})
+                assert engine.busy.wait(10)
+                _send_line(one, {"id": "B", "op": "sample", "spec": SPEC, "seed": 1})
+                _wait_queued(1)
+                _send_line(two, {"id": "C", "op": "sample", "spec": SPEC, "seed": 2})
+                _send_line(two, {"id": "D", "op": "sample", "spec": SPEC, "seed": 3})
+                _wait_queued(3)
+                engine.release.set()
+                replies = [json.loads(one._read_line()) for _ in range(2)]
+                replies += [json.loads(two._read_line()) for _ in range(2)]
+                one.shutdown()
+        finally:
+            engine.release.set()
+            thread.join(timeout=10)
+            engine.close()
+        assert engine.batches == [["A"], ["B", "C", "D"]]
+        by_id = {reply["id"]: reply for reply in replies}
+        assert all(reply["ok"] for reply in replies)
+        assert [by_id[i].get("coalesced") for i in "BCD"] == [3, 3, 3]
+
+    @needs_digit_limit
+    def test_unencodable_response_gets_one_error_reply(self):
+        """A count too long to encode is answered with exactly one
+        ``ok: false`` line carrying the request id; the connection keeps
+        serving."""
+        engine = Engine(workers=0)
+        thread, (host, port) = _start_tcp_server(engine)
+        try:
+            with ServiceClient(host, port, timeout=60) as client:
+                response = client.request("count", HUGE_COUNT_SPEC)
                 assert not response["ok"]
-                assert response["error_type"] == "TimeoutError"
-                # A per-request override beats the server default.
-                response = client.request("count", SPEC, timeout_ms=30_000)
-                assert response["ok"] and response["result"] == 32
+                assert response["error_type"] == "ValueError"
+                assert client.result("count", SPEC) == 32
                 client.shutdown()
         finally:
             thread.join(timeout=10)
@@ -1274,23 +1404,26 @@ class TestAsyncServe:
             engine.close()
 
     def test_graceful_shutdown_drains_pending(self):
-        """Requests already queued when shutdown arrives are answered."""
-        engine = Engine(workers=0)
-        thread, (host, port) = _start_tcp_server(engine, batch_window=0.2)
+        """Requests executing or queued when shutdown arrives are answered."""
+        engine = _GatedEngine()
+        thread, (host, port) = _start_tcp_server(engine)
         try:
             with ServiceClient(host, port) as client, ServiceClient(
                 host, port
             ) as other:
-                # Queue work, then shut down within the same batch window.
-                other.sock.sendall(
-                    json.dumps({"id": "w1", "op": "count", "spec": SPEC}).encode()
-                    + b"\n"
-                )
+                # Queue work behind a busy engine, then shut down.
+                _send_line(other, {"id": "w0", "op": "count", "spec": SPEC})
+                assert engine.busy.wait(10)
+                _send_line(other, {"id": "w1", "op": "count", "spec": SPEC})
+                _wait_queued(1)
                 client.shutdown()
-                response = json.loads(other._read_line())
-            assert response["id"] == "w1"
-            assert response["ok"] and response["result"] == 32
+                engine.release.set()
+                responses = [json.loads(other._read_line()) for _ in range(2)]
+            assert sorted(r["id"] for r in responses) == ["w0", "w1"]
+            assert all(r["ok"] and r["result"] == 32 for r in responses)
+            assert engine.batches == [["w0"], ["w1"]]
         finally:
+            engine.release.set()
             thread.join(timeout=15)
             assert not thread.is_alive(), "server did not drain and exit"
             engine.close()
