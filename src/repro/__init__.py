@@ -114,7 +114,7 @@ __version__ = "1.2.0"
 
 
 def __getattr__(name: str):
-    """Lazy ``repro.service``: the serving stack (sockets, selectors,
+    """Lazy ``repro.service``: the serving stack (asyncio, sockets,
     multiprocessing) loads only when first touched, so plain library and
     CLI use never pays for it."""
     if name == "service":

@@ -350,41 +350,33 @@ def _resolve_slow_query_log(path_arg, ms_arg):
 
 def _command_serve(args) -> int:
     from repro.service.engine import Engine
-    from repro.service.server import (
-        DEFAULT_MAX_CONNECTIONS,
-        DEFAULT_MAX_LINE,
-        serve_stdio,
-        serve_tcp,
-    )
+    from repro.service.server import serve_stdio, serve_tcp
 
+    # Flags left unset fall back to the server's defaults.
+    options = {
+        "request_timeout": args.request_timeout or None,
+        "slow_query_log": _resolve_slow_query_log(
+            args.slow_query_log, args.slow_query_ms
+        ),
+    }
+    if args.max_line is not None:
+        options["max_line"] = args.max_line
+    if args.max_connections is not None:
+        options["max_connections"] = args.max_connections
     engine = Engine(
         workers=args.workers,
         store_root=args.store,
         max_resident=args.max_resident,
     )
-    max_line = args.max_line if args.max_line is not None else DEFAULT_MAX_LINE
-    max_connections = (
-        args.max_connections
-        if args.max_connections is not None
-        else DEFAULT_MAX_CONNECTIONS
-    )
-    slow_query_log = _resolve_slow_query_log(args.slow_query_log, args.slow_query_ms)
     try:
         if args.port is None:
-            return serve_stdio(engine, max_line=max_line)
+            return serve_stdio(engine, **options)
 
         def announce(address) -> None:
             print(f"listening on {address[0]}:{address[1]}", file=sys.stderr, flush=True)
 
         return serve_tcp(
-            engine,
-            host=args.host,
-            port=args.port,
-            ready_callback=announce,
-            max_line=max_line,
-            request_timeout=args.request_timeout or None,
-            max_connections=max_connections,
-            slow_query_log=slow_query_log,
+            engine, host=args.host, port=args.port, ready_callback=announce, **options
         )
     finally:
         engine.close()

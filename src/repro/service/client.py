@@ -60,6 +60,15 @@ class ServiceClient:
 
     # ------------------------------------------------------------------
 
+    def _write(self, requests: list[dict[str, Any]]) -> None:
+        self.sock.sendall(
+            b"".join(
+                json.dumps(request, separators=(",", ":"), ensure_ascii=False).encode()
+                + b"\n"
+                for request in requests
+            )
+        )
+
     def _read_line(self) -> bytes:
         while b"\n" not in self._buffer:
             data = self.sock.recv(1 << 20)
@@ -79,16 +88,10 @@ class ServiceClient:
                 request["id"] = f"c{self._next_id}"
                 self._next_id += 1
             prepared.append(request)
-        payload = b"".join(
-            json.dumps(request, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
-            + b"\n"
-            for request in prepared
-        )
-        self.sock.sendall(payload)
+        self._write(prepared)
         pending: dict[str, list[dict[str, Any]]] = {}
         order = [request["id"] for request in prepared]
         remaining = {request_id: order.count(request_id) for request_id in order}
-        responses: list[dict[str, Any]] = []
         while sum(remaining.values()) > 0:
             response = json.loads(self._read_line())
             rid = response.get("id")
@@ -101,9 +104,7 @@ class ServiceClient:
                 self._stream_lines[rid].append(response)
             # Anything else (stale cancel acks, cancelled-stream tails)
             # is dropped.
-        for rid in order:
-            responses.append(pending[rid].pop(0))
-        return responses
+        return [pending[rid].pop(0) for rid in order]
 
     def request(
         self, op: str, spec: dict[str, Any] | None = None, **fields: Any
@@ -158,10 +159,7 @@ class ServiceClient:
         if cursor is not None:
             request["cursor"] = cursor
         self.last_cursor = cursor
-        self.sock.sendall(
-            json.dumps(request, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
-            + b"\n"
-        )
+        self._write([request])
         done = False
         buffered = self._stream_lines.setdefault(request["id"], [])
         try:
@@ -197,9 +195,7 @@ class ServiceClient:
                 cancel = {"op": "cancel", "target": request["id"], "id": f"c{self._next_id}"}
                 self._next_id += 1
                 try:
-                    self.sock.sendall(
-                        json.dumps(cancel, separators=(",", ":")).encode("utf-8") + b"\n"
-                    )
+                    self._write([cancel])
                 except OSError:  # pragma: no cover - connection already gone
                     pass
 

@@ -1,4 +1,4 @@
-"""The JSON-lines witness service: stdin/stdout and async TCP front-ends.
+"""The JSON-lines witness service: one asyncio core, TCP and stdio front ends.
 
 One request per line in, one response per line out (see
 :mod:`repro.service.protocol` for the shapes).  The server's job is
@@ -11,30 +11,32 @@ No request ever waits on a timer, and under concurrent load N
 same-instance requests costing N kernel walks become one walk, without
 changing any response byte (the substream contract).
 
-Front-ends:
+Both front ends are connections of one :class:`AsyncWitnessServer`, so
+they share its read loop, its dispatcher, its send site and every
+semantic below:
 
-* :func:`serve_stdio` — JSON-lines over stdin/stdout, the subprocess /
-  pipeline embedding (``repro serve --stdio``);
-* :func:`serve_tcp` — an ``asyncio`` server (``repro serve --port N``)
-  multiplexing any number of concurrent client connections.  All
-  connections feed one shared batching queue, so same-spec sample
-  bursts coalesce **across connections**, not just within one client's
-  pipelined write.
+* :func:`serve_tcp` — ``repro serve --port N``: any number of concurrent
+  connections feed one batching queue, so same-spec sample bursts
+  coalesce **across connections**.
+* :func:`serve_stdio` — ``repro serve`` with no port, the subprocess /
+  pipeline embedding: stdin and stdout are one connection, and EOF on
+  stdin acts as ``shutdown``.
 
-Concurrency semantics of the TCP server:
+Concurrency semantics:
 
 * **Per-connection isolation** — every connection has its own reader
-  task and its own write path; one client's malformed input, slow
-  reading or disconnect never affects another's responses.
+  and its own write path; one client's malformed input, slow reading or
+  disconnect never affects another's responses.
 * **Bounded request size** — a request line longer than ``max_line``
-  bytes is answered with a one-line JSON error and the connection is
-  closed (line framing is unrecoverable past that point); the reader
-  never buffers an endless line.
+  bytes is answered with one JSON error line and discarded up to its
+  newline, however many reads it spans; the connection keeps serving.
+  The reader never buffers an endless line.
 * **Backpressure** — reads stop while a connection's earlier requests
   are still being enqueued (the shared queue is bounded), and writes
-  await the socket drain, so a client that stops reading pauses its own
-  stream instead of growing server memory.  A connection whose write
-  stalls longer than ``write_timeout`` is dropped.
+  await the drain of the socket (or of stdout), so a client that stops
+  reading pauses its own stream instead of growing server memory.  A
+  connection whose write stalls longer than ``write_timeout`` is
+  dropped; dropping the stdio connection stops the server.
 * **Per-request deadlines** — ``request_timeout`` (overridable per
   request via ``"timeout_ms"``) bounds how long a request may wait for
   engine capacity; an expired request is answered with a
@@ -52,7 +54,8 @@ false}`` ending with a ``"done": true`` line.  Each chunk is one paged
 engine round (the affinity worker resumes from the cursor in O(n)), so
 other clients' batches interleave with a long-running stream, the
 witness set is never materialized, and the per-chunk ``cursor`` lets a
-disconnected client resume exactly where it stopped.
+disconnected client resume exactly where it stopped.  ``cancel`` stops
+a stream by its request id.
 
 Control ops: ``ping`` answers ``"pong"``; ``stats`` reports server
 counters, the aggregated engine summary, and the pool-wide merged
@@ -75,22 +78,21 @@ slow-query threshold are appended to a JSON-lines slow-query log
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import dataclasses
+import io
 import itertools
 import json
-import os
-import selectors
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import IO, TYPE_CHECKING, Any, Callable, Coroutine
+from typing import Any, Callable, Coroutine
 
 from repro import obs
 from repro.obs import names as metric_names
 from repro.service.engine import Engine
 from repro.service.protocol import _op_label
-
-if TYPE_CHECKING:
-    import threading
 
 #: Default bound on one request line (bytes); longer lines are answered
 #: with a one-line JSON error instead of being buffered without bound.
@@ -110,8 +112,6 @@ _QUEUE_LIMIT = 4096
 #: Cap on concurrent enumeration streams per connection.
 MAX_STREAMS_PER_CONNECTION = 8
 
-_MAX_LINE = DEFAULT_MAX_LINE  # backwards-compatible alias
-
 
 def _write_stderr(message: str) -> None:
     """Executor target for diagnostics emitted from the event loop."""
@@ -126,10 +126,8 @@ def _swallow_exception(future: asyncio.Future[Any]) -> None:
         future.exception()
 
 
-def _parse_line(line: bytes | str) -> dict[str, Any]:
-    if isinstance(line, bytes):
-        line = line.decode("utf-8")
-    request = json.loads(line)
+def _parse_line(line: bytes) -> dict[str, Any]:
+    request = json.loads(line.decode("utf-8"))
     if not isinstance(request, dict):
         raise ValueError("request must be a JSON object")
     return request
@@ -165,277 +163,175 @@ def _encode_reply(response: dict[str, Any]) -> bytes:
         return encode_response(_error_response(response.get("id"), error))
 
 
-def _line_too_long(max_line: int) -> dict[str, Any]:
-    return _error_response(
-        None, ValueError(f"request line too long (max {max_line} bytes)")
-    )
+async def _discard_line(reader: asyncio.StreamReader, scanned: int) -> None:
+    """Drop an oversized line through its newline, holding at most the
+    reader's limit of it at once; a read error surfaces on the next read."""
+    with contextlib.suppress(asyncio.IncompleteReadError, OSError):
+        while True:
+            await reader.readexactly(scanned)
+            try:
+                await reader.readuntil(b"\n")
+                return
+            except asyncio.LimitOverrunError as overrun:
+                scanned = overrun.consumed
 
 
-def _aggregate_server_stats(
-    engine: Engine, per_worker: bool = False
-) -> dict[str, Any]:
+def _release(pending: _Pending) -> None:
+    """Resolve the internal waiter of a request that will never execute
+    with None, so the waiting stream task can exit."""
+    if pending.future is not None and not pending.future.done():
+        pending.future.set_result(None)
+
+
+def _aggregate_server_stats(engine: Engine) -> dict[str, Any]:
     """The enriched ``stats`` payload: engine summary plus merged metrics.
 
     The metrics snapshot merges this process's registry (server counters,
     request/stage histograms, and — with ``workers=0`` — the embedded
     cache/store counters) with every worker's snapshot, so one scrape
-    sees the whole pool.  ``per_worker`` additionally returns the classic
-    per-worker entry list under ``"workers"``.
+    sees the whole pool.  The classic per-worker entry list, computed
+    for the summary anyway, rides along under ``"workers"``; the server
+    drops it unless the request asked for ``per_worker``.
     """
     entries = engine.stats(per_worker=True)
     assert isinstance(entries, list)
     summary = Engine.aggregate_stats(entries)
     worker_metrics = summary.pop("metrics", None) or {}
-    result: dict[str, Any] = {
+    return {
         "engine": summary,
         "metrics": obs.merge_snapshots(
             [obs.metrics().snapshot(), worker_metrics]
         ),
+        "workers": entries,
     }
-    if per_worker:
-        result["workers"] = entries
-    return result
 
 
-class WitnessServer:
-    """The batching request loop over one :class:`Engine`.
-
-    Responses are delivered through per-request callbacks, so the same
-    core serves the stdio front-end (and the tests drive it directly).
-    """
-
-    def __init__(self, engine: Engine) -> None:
-        self.engine = engine
-        self.served = 0
-        self.batches = 0
-        self.shutting_down = False
-
-    def process(
-        self, parsed: list[tuple[dict[str, Any], object]]
-    ) -> list[tuple[dict[str, Any], object]]:
-        """Answer a drained batch of ``(request, reply_to)`` pairs.
-
-        A ``shutdown`` op is acknowledged immediately and flips
-        :attr:`shutting_down`; the remaining requests of the batch are
-        still answered.  ``stats`` is answered here so it aggregates
-        *every* worker's counters (routed through the engine it would
-        reach only one).
-        """
-        executable: list[dict[str, Any]] = []
-        sinks: list[object] = []
-        out: list[tuple[dict[str, Any], object]] = []
-        for request, reply_to in parsed:
-            op = request.get("op")
-            if op == "shutdown":
-                self.shutting_down = True
-                out.append(({"id": request.get("id"), "ok": True, "result": "bye"}, reply_to))
-                continue
-            if op == "stats":
-                result = dict(
-                    _aggregate_server_stats(
-                        self.engine,
-                        per_worker=bool(request.get("per_worker")),
-                    ),
-                    served=self.served,
-                    batches=self.batches,
-                )
-                out.append(({"id": request.get("id"), "ok": True, "result": result}, reply_to))
-                continue
-            executable.append(request)
-            sinks.append(reply_to)
-        if executable:
-            self.batches += 1
-            responses = self.engine.execute(executable)
-            self.served += len(responses)
-            out.extend(zip(responses, sinks))
-        return out
-
-
-def _answer_lines(
-    server: WitnessServer, lines: list[Any], stdout: IO[Any], max_line: int
+def _feed_stdin(
+    stdin: Any,
+    reader: asyncio.StreamReader,
+    loop: asyncio.AbstractEventLoop,
+    unpaused: threading.Event,
 ) -> None:
-    """Parse a batch of request lines, execute, write response lines."""
-    parsed: list[tuple[dict[str, Any], object]] = []
-    for text in lines:
-        if isinstance(text, bytes):
-            text = text.decode("utf-8", errors="replace")
-        if not text.strip():
-            continue
-        if len(text) > max_line:
-            stdout.write(_encode_reply(_line_too_long(max_line)).decode("utf-8"))
-            continue
+    """Reader-thread body: feed stdin to the loop in chunks, then EOF
+    (however the loop ends, so the server never waits on a dead reader).
+
+    ``read1`` on the binary buffer returns as soon as a pipe or tty has
+    data; text-only readers such as ``StringIO`` are encoded.
+    """
+    chunk: bytes | str = b"-"
+    with contextlib.suppress(RuntimeError):  # loop closed: server stopped
         try:
-            parsed.append((_parse_line(text), None))
-        except ValueError as error:
-            stdout.write(_encode_reply(_error_response(None, error)).decode("utf-8"))
-    for response, _ in server.process(parsed):
-        stdout.write(_encode_reply(response).decode("utf-8"))
+            source = getattr(stdin, "buffer", stdin)
+            read = getattr(source, "read1", source.read)
+            while chunk:
+                unpaused.wait()
+                try:
+                    chunk = read(1 << 16)
+                except (OSError, ValueError):  # a closed stdin acts as EOF
+                    chunk = b""
+                if isinstance(chunk, str):
+                    chunk = chunk.encode("utf-8")
+                loop.call_soon_threadsafe(reader.feed_data, chunk)
+        finally:
+            loop.call_soon_threadsafe(reader.feed_eof)
+
+
+def _write_out(stdout: Any, payload: bytes) -> None:
+    text = isinstance(stdout, io.TextIOBase)
+    stdout.write(payload.decode("utf-8") if text else payload)
     stdout.flush()
 
 
-def serve_stdio(
-    engine: Engine,
-    stdin: IO[Any] | None = None,
-    stdout: IO[Any] | None = None,
-    max_line: int = DEFAULT_MAX_LINE,
-) -> int:
-    """Serve JSON-lines over stdin/stdout until EOF or ``shutdown``.
+class _StdioTransport(asyncio.ReadTransport):
+    """Stdin and stdout as one connection: the transport of its reader
+    and, through the calls :class:`_Connection` makes, its writer.
 
-    Batching: on a real pipe the loop reads raw bytes from the file
-    descriptor (its own line framing, no stdio buffering in the way).
-    Once the first bytes arrive it drains whatever else is already
-    readable, without waiting, so everything the client has written —
-    including what arrived while the previous batch executed — lands in
-    one engine batch and same-spec sample requests coalesce.
-    Non-selectable inputs (tests passing ``StringIO``) fall back to
-    line-at-a-time processing.
-
-    A line longer than ``max_line`` is answered with a one-line JSON
-    error and *discarded up to its newline* — the reader never grows an
-    unbounded buffer, and the stream stays usable afterwards (unlike
-    TCP, stdio has exactly one client, so closing is not an option).
+    A daemon thread reads stdin off the event loop, so any stdin works,
+    a regular file (which epoll cannot watch) included; the reader's
+    flow control pauses it past twice ``max_line`` unread bytes.  It is
+    a daemon because a read blocked on a still-open stdin must not keep
+    the process alive after ``shutdown``.  Stdout writes and flushes run
+    on the default executor.  ``on_close`` runs when the connection
+    closes.
     """
-    stdin = stdin if stdin is not None else sys.stdin
-    stdout = stdout if stdout is not None else sys.stdout
-    server = WitnessServer(engine)
 
-    fileno: int | None
-    try:
-        fileno = stdin.fileno()
-    except (OSError, ValueError, AttributeError):
-        fileno = None
+    def __init__(
+        self,
+        stdin: Any,
+        stdout: Any,
+        reader: asyncio.StreamReader,
+        on_close: Callable[[], None],
+    ) -> None:
+        super().__init__()
+        self._stdout = stdout  # owned-by: event-loop
+        self._on_close = on_close  # owned-by: event-loop
+        self._pending: list[bytes] = []  # owned-by: event-loop
+        # A thread-safe Event; the reader thread gets it as an argument.
+        self._unpaused = threading.Event()  # owned-by: event-loop
+        self._unpaused.set()
+        reader.set_transport(self)
+        args = (stdin, reader, asyncio.get_running_loop(), self._unpaused)
+        threading.Thread(target=_feed_stdin, args=args, daemon=True).start()
 
-    if fileno is None:
-        # Fallback framing for non-selectable streams: no fd to select
-        # on, so no cross-line batching — process each line as it comes.
-        # readline is capped so an endless line is bounded here too: the
-        # oversized head gets the error, the tail is discarded in
-        # max_line-sized reads.
-        while not server.shutting_down:
-            line = stdin.readline(max_line + 1)
-            if not line:
-                break
-            newline = "\n" if isinstance(line, str) else b"\n"
-            if len(line) > max_line and not line.endswith(newline):
-                stdout.write(_encode_reply(_line_too_long(max_line)).decode("utf-8"))
-                stdout.flush()
-                while True:  # discard the rest of the oversized line
-                    tail = stdin.readline(max_line)
-                    if not tail or tail.endswith(newline):
-                        break
-                continue
-            _answer_lines(server, [line], stdout, max_line)
-        return 0
+    def pause_reading(self) -> None:
+        self._unpaused.clear()
 
-    selector = selectors.DefaultSelector()
-    selector.register(fileno, selectors.EVENT_READ)
-    buffer = b""
-    eof = False
-    discarding = False
+    def resume_reading(self) -> None:
+        self._unpaused.set()
 
-    def frame(chunk: bytes) -> list[bytes]:
-        """Append a chunk, splitting complete lines off the buffer and
-        enforcing ``max_line`` (oversized partial lines flip the reader
-        into discard-until-newline mode)."""
-        nonlocal buffer, discarding
-        buffer += chunk
-        if discarding and b"\n" not in buffer:
-            buffer = b""  # still inside the oversized line: drop it all
-            return []
-        *lines, buffer = buffer.split(b"\n")
-        if discarding and lines:
-            # The tail of the oversized line ends at the first newline.
-            lines = lines[1:]
-            discarding = False
-        if not discarding and len(buffer) > max_line:
-            stdout.write(_encode_reply(_line_too_long(max_line)).decode("utf-8"))
-            stdout.flush()
-            buffer = b""
-            discarding = True
-        return lines
+    def write(self, payload: bytes) -> None:
+        self._pending.append(payload)
 
-    try:
-        while not server.shutting_down and not eof:
-            selector.select()  # block until the first bytes arrive
-            chunk = os.read(fileno, 1 << 20)
-            if not chunk:
-                break
-            lines = frame(chunk)
-            # Batch what is already readable; never wait for more.
-            while selector.select(0):
-                chunk = os.read(fileno, 1 << 20)
-                if not chunk:
-                    eof = True
-                    break
-                lines.extend(frame(chunk))
-            if lines:
-                _answer_lines(server, lines, stdout, max_line)
-        if buffer.strip() and not discarding and not server.shutting_down:
-            _answer_lines(server, [buffer], stdout, max_line)  # unterminated last line
-    finally:
-        selector.close()
-    return 0
+    async def drain(self) -> None:
+        payload = b"".join(self._pending)
+        self._pending.clear()
+        await asyncio.get_running_loop().run_in_executor(
+            None, _write_out, self._stdout, payload
+        )
+
+    def close(self) -> None:
+        self._on_close()  # stdin and stdout belong to the caller
+
+    async def wait_closed(self) -> None:
+        return None
 
 
 # ----------------------------------------------------------------------
-# The async TCP front-end
+# The server
 # ----------------------------------------------------------------------
 
 
+@dataclasses.dataclass(slots=True)
 class _Pending:
     """One queued request awaiting engine capacity."""
-
-    __slots__ = ("request", "conn", "deadline", "future", "received", "parse_seconds", "exec_start")
 
     request: dict[str, Any]
     conn: _Connection
     deadline: float | None
-    future: asyncio.Future[dict[str, Any] | None] | None
-    received: float
-    parse_seconds: float
-    exec_start: float | None
-
-    def __init__(
-        self,
-        request: dict[str, Any],
-        conn: _Connection,
-        deadline: float | None,
-        future: asyncio.Future[dict[str, Any] | None] | None = None,
-        received: float = 0.0,
-        parse_seconds: float = 0.0,
-    ) -> None:
-        self.request = request
-        self.conn = conn
-        self.deadline = deadline
-        #: When set, the pump resolves this future instead of writing to
-        #: the connection (internal rounds, e.g. one page of a stream).
-        self.future = future
-        #: loop.time() at enqueue — the front-door timestamp every
-        #: latency/wait stage is measured against.
-        self.received = received
-        #: Wall time spent decoding this request's line.
-        self.parse_seconds = parse_seconds
-        #: loop.time() when the batch containing this request started
-        #: executing (None for requests answered before execution).
-        self.exec_start = None
+    #: When set, the pump resolves this future instead of writing to
+    #: the connection (internal rounds, e.g. one page of a stream).
+    future: asyncio.Future[dict[str, Any] | None] | None = None
+    #: loop.time() at enqueue — the front-door timestamp every
+    #: latency/wait stage is measured against.
+    received: float = 0.0
+    #: Wall time spent decoding this request's line.
+    parse_seconds: float = 0.0
+    #: loop.time() when the batch containing this request started
+    #: executing (None for requests answered before execution).
+    exec_start: float | None = None
 
 
+@dataclasses.dataclass(slots=True, eq=False)
 class _Connection:
-    """One TCP client: its writer plus liveness/ordering state."""
+    """One client (a TCP socket, or stdin/stdout) and its write state."""
 
-    __slots__ = ("writer", "closed", "write_lock", "streams")
-
-    writer: asyncio.StreamWriter
-    closed: bool
-    write_lock: asyncio.Lock
-    streams: dict[int, tuple[Any, asyncio.Task[None]]]
-
-    def __init__(self, writer: asyncio.StreamWriter) -> None:
-        self.writer = writer
-        self.closed = False
-        self.write_lock = asyncio.Lock()
-        #: Live enumeration streams: unique key → (request id, task).
-        self.streams = {}
+    writer: asyncio.StreamWriter | _StdioTransport
+    closed: bool = False
+    write_lock: asyncio.Lock = dataclasses.field(default_factory=asyncio.Lock)
+    #: Live enumeration streams: unique key → (request id, task).
+    streams: dict[int, tuple[Any, asyncio.Task[None]]] = dataclasses.field(
+        default_factory=dict
+    )
 
     async def write(self, payload: bytes) -> None:
         async with self.write_lock:
@@ -444,17 +340,19 @@ class _Connection:
 
 
 class AsyncWitnessServer:
-    """The concurrent TCP server: many connections, one batching pump.
+    """The serving core: many connections, one batching pump.
 
-    Every connection's requests land in one bounded queue; a single pump
-    task awaits the first arrival, takes everything else already queued
-    (batch while busy: what arrived during the previous batch), executes
-    the whole batch in one engine call on the server's one engine
-    thread, and fans the responses back out.  An idle server answers a
-    lone request at once; under load, batches grow by themselves.  The
-    engine is only ever driven by the pump, so multiprocess result-queue
-    consumption stays single-consumer while any number of clients talk
-    concurrently.
+    :meth:`run` serves TCP connections, :meth:`run_stdio` serves stdin
+    and stdout as one connection; both read every connection with
+    :meth:`_serve_lines`.  Every connection's requests land in one
+    bounded queue; a single pump task awaits the first arrival, takes
+    everything else already queued (batch while busy: what arrived
+    during the previous batch), executes the whole batch in one engine
+    call on the server's one engine thread, and fans the responses back
+    out.  An idle server answers a lone request at once; under load,
+    batches grow by themselves.  The engine is only ever driven by the
+    pump, so multiprocess result-queue consumption stays single-consumer
+    while any number of clients talk concurrently.
     """
 
     def __init__(
@@ -484,8 +382,11 @@ class AsyncWitnessServer:
         self.batches = 0  # owned-by: event-loop
         self.shutting_down = False  # owned-by: event-loop
         self.connections: set[_Connection] = set()  # owned-by: event-loop
-        self._queue: asyncio.Queue[_Pending] | None = None  # owned-by: event-loop
-        self._stop: asyncio.Event | None = None  # owned-by: event-loop
+        # Both bind to the running loop on first use.
+        self._queue: asyncio.Queue[_Pending] = asyncio.Queue(  # owned-by: event-loop
+            maxsize=_QUEUE_LIMIT
+        )
+        self._stop = asyncio.Event()  # owned-by: event-loop
         self._stream_keys = itertools.count()  # owned-by: event-loop
         #: In-flight response writes, detached from the pump so a slow
         #: reader only ever stalls its own connection.
@@ -514,11 +415,6 @@ class AsyncWitnessServer:
             labels={"stage": metric_names.STAGE_COALESCE_WAIT},
         )
 
-    def _count_request(self, op: Any) -> None:
-        obs.metrics().counter(
-            metric_names.SERVER_REQUESTS, labels={"op": _op_label(op)}
-        ).inc()
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -529,24 +425,63 @@ class AsyncWitnessServer:
         port: int,
         ready_callback: Callable[[Any], None] | None = None,
     ) -> int:
-        loop = asyncio.get_running_loop()
-        self._queue = asyncio.Queue(maxsize=_QUEUE_LIMIT)
-        self._stop = asyncio.Event()
-        server = await asyncio.start_server(
+        """Serve TCP connections on ``host:port`` until ``shutdown``."""
+        listener = await asyncio.start_server(
             self._handle_connection, host, port, limit=self.max_line
         )
-        address = server.sockets[0].getsockname()
         if ready_callback is not None:
-            ready_callback(address)
+            ready_callback(listener.sockets[0].getsockname())
+        try:
+            # The listener closes as the drain starts; Server.wait_closed
+            # is *not* awaited before the drain because since 3.12 it
+            # waits for every connection handler — and idle clients may
+            # hold connections open.
+            await self._serve_until_stopped(listener.close)
+        finally:
+            with contextlib.suppress(asyncio.TimeoutError):  # a stuck handler
+                await asyncio.wait_for(listener.wait_closed(), timeout=1.0)
+        return 0
+
+    async def run_stdio(self, stdin: Any, stdout: Any) -> int:
+        """Serve ``stdin``/``stdout`` as one connection until ``shutdown``
+        or EOF on stdin."""
+        reader = asyncio.StreamReader(limit=self.max_line)
+        # Dropping the one connection (stdout gone or stalled) ends the
+        # server: no client is left to serve.
+        conn = _Connection(
+            _StdioTransport(stdin, stdout, reader, self._begin_shutdown)
+        )
+        self._admit(conn)
+        session = asyncio.get_running_loop().create_task(
+            self._stdio_session(reader, conn)
+        )
+        session.add_done_callback(lambda _: self._begin_shutdown())  # however it ends
+        try:
+            await self._serve_until_stopped(lambda: None)
+        finally:
+            # Normally finished; still reading only if stdin stays open
+            # after the connection was dropped.
+            session.cancel()
+        return 0
+
+    async def _stdio_session(
+        self, reader: asyncio.StreamReader, conn: _Connection
+    ) -> None:
+        await self._serve_lines(reader, conn)
+        # EOF acts as shutdown, after the streams already read have sent
+        # their last chunk; the drain answers everything else.
+        streams = [task for _, task in conn.streams.values()]
+        await asyncio.gather(*streams, return_exceptions=True)
+
+    async def _serve_until_stopped(self, stop_accepting: Callable[[], None]) -> None:
+        """Run the pump until ``shutdown``, then drain and close."""
+        loop = asyncio.get_running_loop()
         pump = loop.create_task(self._pump())
         try:
             await self._stop.wait()
             # Graceful drain: no new connections, answer what's queued,
-            # flush what's written, then leave.  (The listener closes
-            # immediately; Server.wait_closed is *not* awaited before the
-            # drain because since 3.12 it waits for every connection
-            # handler — and idle clients may hold connections open.)
-            server.close()
+            # flush what's written, then leave.
+            stop_accepting()
             await self._queue.join()
             if self._send_tasks:
                 # Responses are written by detached tasks: flush them
@@ -559,26 +494,23 @@ class AsyncWitnessServer:
             # Unblock any stream task still waiting on an unprocessed
             # page round, then drop the connections (which ends their
             # handler tasks and lets the listener fully close).
-            while self._queue is not None and not self._queue.empty():
-                pending = self._queue.get_nowait()
-                if pending.future is not None and not pending.future.done():
-                    pending.future.set_result(None)
+            while not self._queue.empty():
+                _release(self._queue.get_nowait())
                 self._queue.task_done()
             for conn in list(self.connections):
                 await self._close_connection(conn)
             # Idle after a graceful drain; after an abort this waits out
             # the in-flight batch, off the event loop.
             await loop.run_in_executor(None, self._engine_thread.shutdown)
-            try:
-                await asyncio.wait_for(server.wait_closed(), timeout=1.0)
-            except asyncio.TimeoutError:  # pragma: no cover - stuck handler
-                pass
-        return 0
 
     def _begin_shutdown(self) -> None:
         self.shutting_down = True
-        if self._stop is not None:
-            self._stop.set()
+        self._stop.set()
+
+    def _admit(self, conn: _Connection) -> None:
+        self.connections.add(conn)
+        self._m_connections.inc()
+        self._m_active_connections.set(len(self.connections))
 
     async def _close_connection(self, conn: _Connection) -> None:
         if conn.closed:
@@ -589,14 +521,12 @@ class AsyncWitnessServer:
         for _, task in list(conn.streams.values()):
             task.cancel()
         conn.streams.clear()
-        try:
+        with contextlib.suppress(OSError, asyncio.TimeoutError):  # a racing close
             conn.writer.close()
             await asyncio.wait_for(conn.writer.wait_closed(), timeout=1.0)
-        except (OSError, asyncio.TimeoutError):  # pragma: no cover - racing close
-            pass
 
     # ------------------------------------------------------------------
-    # Per-connection reader
+    # The one request read loop
     # ------------------------------------------------------------------
 
     async def _handle_connection(
@@ -613,61 +543,72 @@ class AsyncWitnessServer:
             self._m_dropped.inc()
             await self._close_connection(conn)
             return
-        self.connections.add(conn)
-        self._m_connections.inc()
-        self._m_active_connections.set(len(self.connections))
-        saw_request = False
+        self._admit(conn)
         try:
-            while not conn.closed and not self.shutting_down:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    # Oversized line: one JSON error, then close — the
-                    # frame boundary is lost, resyncing is impossible.
-                    self._m_malformed.inc()
-                    await self._send(conn, _line_too_long(self.max_line))
-                    break
-                except (OSError, ConnectionError):
-                    break
-                if not line:
-                    break  # EOF
-                if not line.strip():
-                    continue
-                if not saw_request and line.startswith(b"GET "):
-                    # A Prometheus scrape (plain HTTP GET) on the same
-                    # port: answer the text exposition and close — no
-                    # JSON framing was established yet, so nothing on
-                    # this connection is lost.
-                    await self._serve_metrics_http(reader, conn)
-                    break
-                saw_request = True
-                parse_started = time.perf_counter()
-                try:
-                    request = _parse_line(line)
-                except ValueError as error:
-                    self._m_malformed.inc()
-                    await self._send(conn, _error_response(None, error))
-                    continue
-                parse_seconds = time.perf_counter() - parse_started
-                op = request.get("op")
-                self._count_request(op)
-                if op == "shutdown":
-                    await self._send(
-                        conn, {"id": request.get("id"), "ok": True, "result": "bye"}
-                    )
-                    self._begin_shutdown()
-                    break
-                if op == "cancel":
-                    await self._cancel_stream(request, conn)
-                    continue
-                if op == "enumerate" and request.get("stream"):
-                    await self._start_stream(request, conn)
-                    continue
-                await self._enqueue(request, conn, parse_seconds=parse_seconds)
+            await self._serve_lines(reader, conn)
         finally:
             # Marks the connection closed, which cancels its queued
             # requests, and stops its stream tasks.
             await self._close_connection(conn)
+
+    async def _serve_lines(
+        self, reader: asyncio.StreamReader, conn: _Connection
+    ) -> None:
+        """Frame, parse and dispatch one connection's request lines
+        until EOF, ``shutdown`` or the connection closing."""
+        saw_request = False
+        while not conn.closed and not self.shutting_down:
+            try:
+                line = await reader.readuntil(b"\n")
+            except asyncio.IncompleteReadError as eof:
+                line = eof.partial  # b"" at EOF, else an unterminated last line
+            except asyncio.LimitOverrunError as overrun:
+                # One error answers the whole oversized line, which is
+                # then discarded through its newline: framing survives.
+                self._m_malformed.inc()
+                error = ValueError(f"request line too long (max {self.max_line} bytes)")
+                await self._send(conn, _error_response(None, error))
+                await _discard_line(reader, overrun.consumed)
+                continue
+            except (OSError, ConnectionError):
+                break
+            if not line:
+                break  # EOF
+            if not line.strip():
+                continue
+            if not saw_request and line.startswith(b"GET "):
+                # A Prometheus scrape (plain HTTP GET) on the same
+                # port: answer the text exposition and close — no
+                # JSON framing was established yet, so nothing on
+                # this connection is lost.
+                await self._serve_metrics_http(reader, conn)
+                break
+            saw_request = True
+            parse_started = time.perf_counter()
+            try:
+                request = _parse_line(line)
+            except ValueError as error:
+                self._m_malformed.inc()
+                await self._send(conn, _error_response(None, error))
+                continue
+            parse_seconds = time.perf_counter() - parse_started
+            op = request.get("op")
+            obs.metrics().counter(
+                metric_names.SERVER_REQUESTS, labels={"op": _op_label(op)}
+            ).inc()
+            if op == "shutdown":
+                await self._send(
+                    conn, {"id": request.get("id"), "ok": True, "result": "bye"}
+                )
+                self._begin_shutdown()
+                break
+            if op == "cancel":
+                await self._cancel_stream(request, conn)
+                continue
+            if op == "enumerate" and request.get("stream"):
+                await self._start_stream(request, conn)
+                continue
+            await self._enqueue(request, conn, parse_seconds=parse_seconds)
 
     async def _serve_metrics_http(
         self, reader: asyncio.StreamReader, conn: _Connection
@@ -698,30 +639,20 @@ class AsyncWitnessServer:
         if response is None or not response.get("ok"):
             # Shutdown drain or a stats failure: a scrape-friendly
             # status line beats silently dropping the connection.
-            head = (
-                "HTTP/1.0 503 Service Unavailable\r\n"
-                "Content-Length: 0\r\n"
-                "Connection: close\r\n"
-                "\r\n"
-            ).encode("ascii")
-            encoded = b""
+            status, encoded = "503 Service Unavailable", b""
         else:
             result = response.get("result") or {}
-            body = obs.render_prometheus(result.get("metrics") or {})
-            encoded = body.encode("utf-8")
-            head = (
-                "HTTP/1.0 200 OK\r\n"
-                "Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n"
-                f"Content-Length: {len(encoded)}\r\n"
-                "Connection: close\r\n"
-                "\r\n"
-            ).encode("ascii")
-        try:
+            status = "200 OK"
+            encoded = obs.render_prometheus(result.get("metrics") or {}).encode()
+        head = (
+            f"HTTP/1.0 {status}\r\n"
+            "Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n"
+            f"Content-Length: {len(encoded)}\r\nConnection: close\r\n\r\n"
+        ).encode("ascii")
+        with contextlib.suppress(asyncio.TimeoutError, OSError):
             await asyncio.wait_for(
                 conn.write(head + encoded), timeout=self.write_timeout
             )
-        except (asyncio.TimeoutError, OSError, ConnectionError):
-            pass
 
     def _deadline_for(self, request: dict[str, Any]) -> float | None:
         timeout = self.request_timeout
@@ -740,7 +671,6 @@ class AsyncWitnessServer:
         parse_seconds: float = 0.0,
     ) -> None:
         queue = self._queue
-        assert queue is not None  # run() builds the queue before any reader starts
         await queue.put(
             _Pending(
                 request,
@@ -800,13 +730,13 @@ class AsyncWitnessServer:
                 ),
             )
             return
-        task = asyncio.get_running_loop().create_task(
-            self._stream_enumerate(request, conn)
-        )
         # Registry keys are unique per task (a client may reuse an id);
         # cancel matches on the request id, so it stops every stream the
         # client called by that name.
         key = next(self._stream_keys)
+        task = asyncio.get_running_loop().create_task(
+            self._stream_enumerate(request, conn, key)
+        )
         conn.streams[key] = (stream_id, task)
         self._m_active_streams.inc()
 
@@ -820,10 +750,10 @@ class AsyncWitnessServer:
         """The ``cancel`` op: stop live streams by their request id."""
         target = request.get("target")
         matched = [
-            task for stream_id, task in conn.streams.values() if stream_id == target
+            key for key, (stream_id, _) in conn.streams.items() if stream_id == target
         ]
-        for task in matched:
-            task.cancel()
+        for key in matched:
+            conn.streams.pop(key)[1].cancel()
         await self._send(
             conn,
             {
@@ -833,7 +763,9 @@ class AsyncWitnessServer:
             },
         )
 
-    async def _stream_enumerate(self, request: dict[str, Any], conn: _Connection) -> None:
+    async def _stream_enumerate(
+        self, request: dict[str, Any], conn: _Connection, key: int
+    ) -> None:
         """Serve one ``stream: true`` enumerate request as chunk lines.
 
         Each chunk is one paged engine round through the shared pump (so
@@ -842,79 +774,68 @@ class AsyncWitnessServer:
         page is fetched — a slow client pauses its own stream, bounding
         server memory at one chunk.
         """
+        from repro.service.protocol import paging_rounds
+
         request_id = request.get("id")
+        rounds = paging_rounds(request)
+        page_request = next(rounds)
         try:
-            await self._stream_pages(request, conn, request_id)
+            while not conn.closed:
+                if key not in conn.streams:
+                    # Unregistered by a cancel op whose task.cancel() was
+                    # lost: before 3.12, asyncio.wait_for drops a
+                    # cancellation that lands as its write completes.
+                    raise asyncio.CancelledError
+                future = asyncio.get_running_loop().create_future()
+                await self._enqueue(page_request, conn, future)
+                response = await future
+                if response is None:  # cancelled (disconnect or shutdown)
+                    return
+                if not response.get("ok"):
+                    await self._send(conn, dict(response, stream=True, done=True))
+                    return
+                page = response.get("result") or {}
+                try:
+                    page_request = rounds.send(response)
+                    done = False
+                except StopIteration:
+                    done = True
+                await self._send(
+                    conn,
+                    {
+                        "id": request_id,
+                        "ok": True,
+                        "stream": True,
+                        "chunk": page.get("items") or [],
+                        # Present even on the final chunk of a limit-bounded
+                        # stream: the client's resume point (None only when
+                        # the enumeration is exhausted).
+                        "cursor": page.get("cursor"),
+                        "done": done,
+                    },
+                )
+                if done:
+                    return
+                if self.shutting_down:
+                    error = ConnectionError("server shutting down")
+                    await self._send(
+                        conn,
+                        dict(
+                            _error_response(request_id, error),
+                            stream=True, done=True, cursor=page.get("cursor"),
+                        ),
+                    )
+                    return
         except asyncio.CancelledError:
             # A cancel op (or connection teardown): tell the client where
             # the stream stopped — the cursor in the last chunk it
             # received resumes the enumeration exactly there.
             if not conn.closed:
+                error = asyncio.CancelledError("stream cancelled")
                 await self._send(
-                    conn,
-                    {
-                        "id": request_id,
-                        "ok": False,
-                        "stream": True,
-                        "error": "stream cancelled",
-                        "error_type": "CancelledError",
-                        "done": True,
-                    },
+                    conn, dict(_error_response(request_id, error), stream=True, done=True)
                 )
             raise
-
-    async def _stream_pages(
-        self, request: dict[str, Any], conn: _Connection, request_id: object
-    ) -> None:
-        from repro.service.protocol import paging_rounds
-
-        rounds = paging_rounds(request)
-        page_request = next(rounds)
-        while not conn.closed:
-            future = asyncio.get_running_loop().create_future()
-            await self._enqueue(page_request, conn, future)
-            response = await future
-            if response is None:  # cancelled (disconnect or shutdown)
-                return
-            if not response.get("ok"):
-                await self._send(conn, dict(response, stream=True, done=True))
-                return
-            page = response.get("result") or {}
-            try:
-                page_request = rounds.send(response)
-                done = False
-            except StopIteration:
-                done = True
-            await self._send(
-                conn,
-                {
-                    "id": request_id,
-                    "ok": True,
-                    "stream": True,
-                    "chunk": page.get("items") or [],
-                    # Present even on the final chunk of a limit-bounded
-                    # stream: the client's resume point (None only when
-                    # the enumeration is exhausted).
-                    "cursor": page.get("cursor"),
-                    "done": done,
-                },
-            )
-            if done:
-                return
-            if self.shutting_down:
-                await self._send(
-                    conn,
-                    {
-                        "id": request_id,
-                        "ok": False,
-                        "stream": True,
-                        "error": "server shutting down",
-                        "error_type": "ConnectionError",
-                        "done": True,
-                        "cursor": page.get("cursor"),
-                    },
-                )
-                return
 
     # ------------------------------------------------------------------
     # The pump: sole engine driver
@@ -923,7 +844,6 @@ class AsyncWitnessServer:
     async def _pump(self) -> None:
         loop = asyncio.get_running_loop()
         queue = self._queue
-        assert queue is not None  # run() builds the queue before starting the pump
         while True:
             batch = [await queue.get()]
             # Batch while busy: whatever any connection enqueued while the
@@ -962,20 +882,11 @@ class AsyncWitnessServer:
         sends: list[Coroutine[Any, Any, None]] = []
         for pending in batch:
             if pending.conn.closed:
-                if pending.future is not None and not pending.future.done():
-                    pending.future.set_result(None)
+                _release(pending)
                 continue
-            sends.append(
-                self._resolve(
-                    pending,
-                    {
-                        "id": pending.request.get("id"),
-                        "ok": False,
-                        "error": f"internal server error: {error}",
-                        "error_type": type(error).__name__,
-                    },
-                )
-            )
+            response = _error_response(pending.request.get("id"), error)
+            response["error"] = f"internal server error: {error}"
+            sends.append(self._resolve(pending, response))
         self._dispatch(sends)
 
     async def _execute_batch(
@@ -987,18 +898,11 @@ class AsyncWitnessServer:
         stats_items: list[_Pending] = []
         for pending in batch:
             if pending.conn.closed:
-                # Cancelled: the client is gone; never execute, and
-                # resolve any internal waiter so its task can exit.
-                if pending.future is not None and not pending.future.done():
-                    pending.future.set_result(None)
+                _release(pending)  # cancelled: the client is gone; never execute
                 continue
             if pending.deadline is not None and now > pending.deadline:
-                response = {
-                    "id": pending.request.get("id"),
-                    "ok": False,
-                    "error": "request deadline exceeded before execution",
-                    "error_type": "TimeoutError",
-                }
+                error = TimeoutError("request deadline exceeded before execution")
+                response = _error_response(pending.request.get("id"), error)
                 sends.append(self._resolve(pending, response))
                 continue
             if pending.request.get("op") == "stats":
@@ -1025,11 +929,8 @@ class AsyncWitnessServer:
         if stats_items:
             # Aggregated at the server so every worker's counters show up
             # (through engine.execute a stats op reaches one worker).
-            per_worker = any(
-                pending.request.get("per_worker") for pending in stats_items
-            )
             stats = await loop.run_in_executor(
-                self._engine_thread, _aggregate_server_stats, self.engine, per_worker
+                self._engine_thread, _aggregate_server_stats, self.engine
             )
             # Internal rounds (HTTP metrics scrapes resolve a future)
             # are monitoring plumbing, not served client requests.
@@ -1119,17 +1020,36 @@ class AsyncWitnessServer:
             writer.add_done_callback(_swallow_exception)
 
 
+def serve_stdio(
+    engine: Engine, stdin: Any = None, stdout: Any = None, **options: Any
+) -> int:
+    """Serve JSON-lines over stdin/stdout until ``shutdown`` or EOF.
+
+    Stdin and stdout (``sys.stdin``/``sys.stdout`` by default) are one
+    connection of an :class:`AsyncWitnessServer`, so stdio has exactly
+    the TCP semantics: batching while busy, streamed enumeration and
+    ``cancel``, deadlines, bounded lines, the slow-query log and the
+    request metrics.  Stdin may be a pipe, a regular file, a tty or any
+    object with ``read`` (``StringIO`` in tests); stdout may take text
+    or bytes.  EOF on stdin acts as ``shutdown``: every request already
+    read, an unterminated last line included, is answered and flushed,
+    then this returns 0.  ``options`` are those of :func:`serve_tcp`.
+    """
+    server = AsyncWitnessServer(engine, **options)
+    return asyncio.run(
+        server.run_stdio(
+            sys.stdin if stdin is None else stdin,
+            sys.stdout if stdout is None else stdout,
+        )
+    )
+
+
 def serve_tcp(
     engine: Engine,
     host: str = "127.0.0.1",
     port: int = 0,
     ready_callback: Callable[[Any], None] | None = None,
-    *,
-    max_line: int = DEFAULT_MAX_LINE,
-    request_timeout: float | None = None,
-    max_connections: int = DEFAULT_MAX_CONNECTIONS,
-    write_timeout: float = DEFAULT_WRITE_TIMEOUT,
-    slow_query_log: obs.SlowQueryLog | None = None,
+    **options: Any,
 ) -> int:
     """Serve JSON-lines over TCP until a client sends ``shutdown``.
 
@@ -1138,18 +1058,13 @@ def serve_tcp(
     use to learn the address.  The implementation is an ``asyncio``
     event loop (:class:`AsyncWitnessServer`): any number of connections
     are multiplexed concurrently, all feeding one batching pump, so
-    same-spec sample coalescing spans connections.  See the module
-    docstring for the concurrency semantics (bounded lines, deadlines,
-    backpressure, streamed enumeration, graceful drain).
+    same-spec sample coalescing spans connections.  ``options`` are the
+    server's keyword arguments: ``max_line``, ``request_timeout``,
+    ``max_connections``, ``write_timeout`` and ``slow_query_log``.  See
+    the module docstring for the concurrency semantics (bounded lines,
+    deadlines, backpressure, streamed enumeration, graceful drain).
     """
-    server = AsyncWitnessServer(
-        engine,
-        max_line=max_line,
-        request_timeout=request_timeout,
-        max_connections=max_connections,
-        write_timeout=write_timeout,
-        slow_query_log=slow_query_log,
-    )
+    server = AsyncWitnessServer(engine, **options)
     return asyncio.run(server.run(host, port, ready_callback))
 
 
@@ -1164,8 +1079,6 @@ def start_tcp_server_thread(
     Keyword arguments are forwarded to :func:`serve_tcp`; stop it with a
     ``shutdown`` request and ``thread.join()``.
     """
-    import threading
-
     ready = threading.Event()
     address: dict[str, Any] = {}
 
@@ -1185,7 +1098,6 @@ def start_tcp_server_thread(
 
 
 __all__ = [
-    "WitnessServer",
     "AsyncWitnessServer",
     "serve_stdio",
     "serve_tcp",

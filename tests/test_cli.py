@@ -409,3 +409,85 @@ class TestServeAndQuery:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
+
+
+_SERVE_SPEC = {"kind": "regex", "pattern": "(ab|ba)*", "alphabet": "ab", "n": 10}
+
+
+def _request_lines(*requests) -> bytes:
+    import json
+
+    return "".join(json.dumps(request) + "\n" for request in requests).encode()
+
+
+class TestServeStdio:
+    """``repro serve`` with no ``--port``: stdin/stdout as one connection."""
+
+    COUNT_AND_SAMPLE = _request_lines(
+        {"id": 1, "op": "count", "spec": _SERVE_SPEC},
+        {"id": 2, "op": "sample", "spec": _SERVE_SPEC, "k": 3, "seed": 7},
+    )
+    REQUESTS = COUNT_AND_SAMPLE + _request_lines(
+        {"id": 3, "op": "enumerate", "spec": _SERVE_SPEC, "stream": True,
+         "chunk_size": 7},
+    )
+
+    @staticmethod
+    def _serve(*argv, **run_kwargs):
+        import os
+        import subprocess
+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(root, "src") + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        return subprocess.run(
+            [sys.executable, "-m", "repro", "serve", *argv],
+            env=env, capture_output=True, cwd=root, timeout=60, **run_kwargs,
+        )
+
+    def test_regular_file_stdin_answers_like_a_pipe(self, tmp_path):
+        """Stdin redirected from a regular file (which epoll cannot
+        watch) is served exactly like the same bytes through a pipe."""
+        import json
+
+        requests = tmp_path / "requests.jsonl"
+        requests.write_bytes(self.REQUESTS)
+        with open(requests, "rb") as stdin:
+            from_file = self._serve(stdin=stdin)
+        piped = self._serve(input=self.REQUESTS)
+        assert from_file.returncode == 0, from_file.stderr
+        assert piped.returncode == 0, piped.stderr
+        assert from_file.stdout == piped.stdout
+        replies = [json.loads(line) for line in piped.stdout.splitlines()]
+        assert replies[0] == {"id": 1, "ok": True, "result": 32}
+        assert replies[1]["id"] == 2 and len(replies[1]["result"]) == 3
+        chunks = replies[2:]
+        assert all(chunk["id"] == 3 and chunk["stream"] for chunk in chunks)
+        assert sum(len(chunk["chunk"]) for chunk in chunks) == 32
+        assert chunks[-1]["done"] and not any(c["done"] for c in chunks[:-1])
+
+    def test_slow_query_flags_reach_stdio(self, tmp_path):
+        """``--slow-query-ms 0`` logs every stdio request."""
+        import json
+
+        log = tmp_path / "slow.jsonl"
+        result = self._serve(
+            "--slow-query-log", str(log), "--slow-query-ms", "0",
+            input=self.COUNT_AND_SAMPLE,
+        )
+        assert result.returncode == 0, result.stderr
+        events = [json.loads(line) for line in log.read_text().splitlines()]
+        assert sorted(event["id"] for event in events) == [1, 2]
+
+    def test_request_timeout_flag_reaches_stdio(self):
+        """A 1 ns ``--request-timeout`` expires every request before the
+        pump can execute it."""
+        import json
+
+        result = self._serve("--request-timeout", "1e-9", input=self.COUNT_AND_SAMPLE)
+        assert result.returncode == 0, result.stderr
+        replies = [json.loads(line) for line in result.stdout.splitlines()]
+        assert sorted(reply["id"] for reply in replies) == [1, 2]
+        assert all(reply["error_type"] == "TimeoutError" for reply in replies)

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import random
+import select
 import subprocess
 import sys
 import threading
@@ -769,38 +770,6 @@ class TestServeStdio:
         assert not responses[0]["ok"] and "too long" in responses[0]["error"]
         assert responses[1]["ok"] and responses[1]["result"] == 32
 
-    def test_non_selectable_fallback_is_bounded_too(self):
-        """The no-fd fallback path must cap every readline call: a
-        100 KB line against a 1 KB bound is read in bounded slices, gets
-        the error, and the stream stays usable."""
-        payload = "x" * 100_000 + "\n" + _request_lines(
-            [{"id": 1, "op": "count", "spec": SPEC}]
-        )
-
-        class NoFilenoReader:
-            def __init__(self, text):
-                self.text = text
-                self.offset = 0
-                self.max_requested = 0
-
-            def readline(self, size=-1):
-                assert size >= 0, "the fallback reader must cap readline"
-                self.max_requested = max(self.max_requested, size)
-                end = self.text.find("\n", self.offset, self.offset + size)
-                end = self.offset + size if end == -1 else end + 1
-                chunk = self.text[self.offset:end]
-                self.offset = end
-                return chunk
-
-        reader = NoFilenoReader(payload)
-        stdout = io.StringIO()
-        with Engine(workers=0) as engine:
-            serve_stdio(engine, stdin=reader, stdout=stdout, max_line=1024)
-        responses = [json.loads(line) for line in stdout.getvalue().splitlines()]
-        assert not responses[0]["ok"] and "too long" in responses[0]["error"]
-        assert responses[1]["ok"] and responses[1]["result"] == 32
-        assert reader.max_requested <= 1025  # never a whole-line read
-
     def test_real_pipe_oversized_line_discards_bounded(self):
         """Over a real pipe the reader never buffers past max_line: the
         oversized line is discarded up to its newline (even when it
@@ -819,9 +788,8 @@ class TestServeStdio:
             with os.fdopen(read_fd, "r") as stdin:
                 serve_stdio(engine, stdin=stdin, stdout=stdout, max_line=1024)
         responses = [json.loads(line) for line in stdout.getvalue().splitlines()]
-        assert any(
-            not r["ok"] and "too long" in r.get("error", "") for r in responses
-        )
+        too_long = [r for r in responses if "too long" in r.get("error", "")]
+        assert len(too_long) == 1 and not too_long[0]["ok"]
         assert any(r.get("id") == 2 and r.get("result") == 32 for r in responses)
 
     def test_real_pipe_batches_and_coalesces(self):
@@ -924,6 +892,98 @@ def tcp_server():
     engine.close()
 
 
+class _PipeSocket:
+    """The socket calls :class:`ServiceClient` makes, over two pipes."""
+
+    def __init__(self, write_fd, read_fd, timeout=30.0):
+        self.write_fd, self.read_fd, self.timeout = write_fd, read_fd, timeout
+
+    def sendall(self, data):
+        view = memoryview(data)
+        while view:
+            view = view[os.write(self.write_fd, view):]
+
+    def recv(self, size):
+        ready, _, _ = select.select([self.read_fd], [], [], self.timeout)
+        if not ready:
+            raise TimeoutError("no reply from serve_stdio")
+        return os.read(self.read_fd, size)
+
+    def close(self):
+        """EOF on the server's stdin."""
+        if self.write_fd is not None:
+            os.close(self.write_fd)
+            self.write_fd = None
+
+
+class _StdioClient(ServiceClient):
+    """A :class:`ServiceClient` whose server is :func:`serve_stdio`,
+    run in a thread with a pipe as stdin and a pipe as stdout."""
+
+    def __init__(self, engine, **server_kwargs):
+        stdin_read, stdin_write = os.pipe()
+        stdout_read, stdout_write = os.pipe()
+        self.sock = _PipeSocket(stdin_write, stdout_read)
+        self._buffer = b""
+        self._next_id = 0
+        self.last_cursor = None
+        self._stream_lines = {}
+        self.stdio = (os.fdopen(stdin_read, "rb"), os.fdopen(stdout_write, "wb"))
+        self.exit_codes = []
+
+        def serve():
+            self.exit_codes.append(serve_stdio(engine, *self.stdio, **server_kwargs))
+
+        self.thread = threading.Thread(target=serve, daemon=True)
+        self.thread.start()
+
+    def finish(self):
+        """Close stdin; the server answers what it read and returns."""
+        self.close()
+        self.thread.join(timeout=10)
+        assert not self.thread.is_alive(), "serve_stdio did not exit on EOF"
+        assert self.exit_codes == [0]
+        for handle in self.stdio:
+            handle.close()
+        os.close(self.sock.read_fd)
+
+
+@pytest.fixture(params=["tcp", "stdio"])
+def transport(request):
+    """Connect one client to a fresh server over TCP or over stdio.
+
+    Call it as ``transport(engine=None, **server_kwargs)``; the keyword
+    arguments are those :func:`serve_tcp` and :func:`serve_stdio` share.
+    """
+    started = []
+
+    def connect(engine=None, **server_kwargs):
+        engine = engine if engine is not None else Engine(workers=0)
+        if request.param == "stdio":
+            client = _StdioClient(engine, **server_kwargs)
+            started.append((engine, client.finish))
+            return client
+        thread, (host, port) = _start_tcp_server(engine, **server_kwargs)
+        client = ServiceClient(host, port, timeout=30)
+
+        def stop():
+            client.close()
+            with ServiceClient(host, port, timeout=5) as closer:
+                closer.shutdown()
+            thread.join(timeout=10)
+            assert not thread.is_alive(), "serve_tcp did not exit on shutdown"
+
+        started.append((engine, stop))
+        return client
+
+    yield connect
+    for engine, stop in started:
+        try:
+            stop()
+        finally:
+            engine.close()
+
+
 class TestServeTcp:
     def test_count_and_sample(self, tcp_server):
         host, port = tcp_server
@@ -1016,64 +1076,50 @@ class TestAsyncServe:
                 )[0]["result"]
                 assert samples == expected, f"client {index} diverged"
 
-    def test_oversized_line_answers_error_and_closes(self):
-        """An endless line is answered with a one-line JSON error at the
-        max-line bound — the reader never buffers it."""
-        import socket as socket_module
+    def test_oversized_line_answers_one_error_and_resyncs(self, transport):
+        """An endless line is answered with one JSON error at the
+        max-line bound — the reader never buffers it — and discarded
+        through its newline, so the same connection keeps serving."""
+        client = transport(max_line=4096)
+        client.sock.sendall(b"z" * 300_000)  # no newline, 73x the bound
+        response = json.loads(client._read_line())
+        assert not response["ok"]
+        assert "too long" in response["error"]
+        # The line ends here; the next reply is the count's, so the line
+        # drew one error however many reads it spanned.
+        client.sock.sendall(b"\n")
+        _send_line(client, {"id": "after", "op": "count", "spec": SPEC})
+        after = json.loads(client._read_line())
+        assert after["id"] == "after" and after["result"] == 32
 
-        engine = Engine(workers=0)
-        thread, (host, port) = _start_tcp_server(engine, max_line=4096)
-        try:
-            with socket_module.create_connection((host, port), timeout=10) as sock:
-                sock.sendall(b"z" * 300_000)  # no newline, 73x the bound
-                sock.settimeout(10)
-                data = b""
-                while b"\n" not in data:
-                    chunk = sock.recv(65536)
-                    if not chunk:
-                        break
-                    data += chunk
-                response = json.loads(data.split(b"\n")[0])
-            assert not response["ok"]
-            assert "too long" in response["error"]
-            # The server stays healthy for the next client.
-            with ServiceClient(host, port) as client:
-                assert client.result("count", SPEC) == 32
-                client.shutdown()
-        finally:
-            thread.join(timeout=10)
-            engine.close()
-
-    def test_request_deadline_answers_timeout(self):
+    def test_request_deadline_answers_timeout(self, transport):
         """A request whose deadline passes while it waits behind a busy
         engine is answered with a TimeoutError and never executes."""
         engine = _GatedEngine()
-        thread, (host, port) = _start_tcp_server(engine, request_timeout=0.0001)
+        client = transport(engine, request_timeout=0.0001)
         try:
-            with ServiceClient(host, port) as first, ServiceClient(host, port) as second:
-                # A per-request override beats the server default: the
-                # blocked first request keeps its 30 s budget.
-                _send_line(
-                    first, {"id": "a", "op": "count", "spec": SPEC, "timeout_ms": 30_000}
-                )
-                assert engine.busy.wait(10)
-                _send_line(second, {"id": "b", "op": "count", "spec": SPEC})
-                _wait_queued(1)
-                # "b" was enqueued before _wait_queued returned, so after
-                # 1 ms its 0.1 ms deadline has passed, engine still busy.
-                time.sleep(0.001)
-                engine.release.set()
-                answered = json.loads(first._read_line())
-                assert answered["ok"] and answered["result"] == 32
-                timed_out = json.loads(second._read_line())
-                assert timed_out["id"] == "b" and not timed_out["ok"]
-                assert timed_out["error_type"] == "TimeoutError"
-                assert engine.batches == [["a"]]
-                first.shutdown()
+            # A per-request override beats the server default: the
+            # blocked first request keeps its 30 s budget.
+            _send_line(
+                client, {"id": "a", "op": "count", "spec": SPEC, "timeout_ms": 30_000}
+            )
+            assert engine.busy.wait(10)
+            _send_line(client, {"id": "b", "op": "count", "spec": SPEC})
+            _wait_queued(1)
+            # "b" was enqueued before _wait_queued returned, so after
+            # 1 ms its 0.1 ms deadline has passed, engine still busy.
+            time.sleep(0.001)
+            engine.release.set()
+            replies = {}
+            for _ in range(2):
+                reply = json.loads(client._read_line())
+                replies[reply["id"]] = reply
         finally:
             engine.release.set()
-            thread.join(timeout=10)
-            engine.close()
+        assert replies["a"]["ok"] and replies["a"]["result"] == 32
+        assert not replies["b"]["ok"]
+        assert replies["b"]["error_type"] == "TimeoutError"
+        assert engine.batches == [["a"]]
 
     def test_batch_while_busy(self):
         """An idle server executes a lone request at once; everything
@@ -1144,15 +1190,28 @@ class TestAsyncServe:
         # At least one batch merged requests from distinct connections.
         assert max(coalesced) >= 2, coalesced
 
-    def test_streamed_enumeration_pages_through(self, tcp_server):
-        host, port = tcp_server
-        ws = witness_set_from_spec(SPEC)
+    def test_streamed_enumeration_pages_through(self, transport):
+        """The chunk lines of a stream are the pages of
+        ``Engine.execute_stream``, and together the whole enumeration."""
         from repro.service.protocol import render_witness
 
+        client = transport()
+        with Engine(workers=0) as engine:
+            pages = [
+                page["result"]
+                for page in engine.execute_stream(
+                    {"id": 0, "op": "enumerate", "spec": SPEC}, chunk_size=5
+                )
+            ]
+        request = {"id": "s", "op": "enumerate", "spec": SPEC, "stream": True}
+        _send_line(client, dict(request, chunk_size=5))
+        chunks = [json.loads(client._read_line()) for _ in pages]
+        assert [(c["chunk"], c["cursor"], c["done"]) for c in chunks] == [
+            (p["items"], p["cursor"], p["done"]) for p in pages
+        ]
+        ws = witness_set_from_spec(SPEC)
         expected = [render_witness(w) for w in ws.enumerate()]
-        with ServiceClient(host, port) as client:
-            streamed = list(client.enumerate(SPEC, chunk_size=5))
-        assert streamed == expected
+        assert list(client.enumerate(SPEC, chunk_size=5)) == expected
 
     def test_streamed_enumeration_never_materializes(self, tcp_server):
         """First witnesses of a 2^40-word set arrive immediately; the
@@ -1273,55 +1332,63 @@ class TestAsyncServe:
             thread.join(timeout=10)
             engine.close()
 
-    def test_cancel_matches_every_stream_with_that_id(self, tcp_server):
-        """Two streams reusing one request id: cancel stops them both
-        (the registry must not lose track of the survivor)."""
-        import socket as socket_module
+    def test_cancel_matches_every_stream_with_that_id(self, transport):
+        """Two streams reusing one request id: cancel is answered and
+        stops them both (the registry must not lose track of the
+        survivor); each replies ``stream cancelled``."""
+        client = transport()
+        stream_request = {
+            "id": "dup",
+            "op": "enumerate",
+            "spec": BIG_SPEC,
+            "stream": True,
+            "chunk_size": 5,
+        }
+        _send_line(client, stream_request)
+        _send_line(client, stream_request)
+        for _ in range(2):  # one chunk from each stream
+            assert json.loads(client._read_line())["ok"]
+        _send_line(client, {"id": "kill", "op": "cancel", "target": "dup"})
+        acks, cancelled = [], []
+        budget = 200  # lines, not seconds: both streams are fast
+        while (len(cancelled) < 2 or not acks) and budget:
+            response = json.loads(client._read_line())
+            if response.get("id") == "kill":
+                acks.append(response["result"])
+            elif not response.get("ok"):
+                cancelled.append(response)
+            budget -= 1
+        assert acks == ["cancelled"]
+        assert len(cancelled) == 2, "both duplicate-id streams must be cancelled"
+        for response in cancelled:
+            assert response["id"] == "dup" and response["done"]
+            assert response["error_type"] == "CancelledError"
+            assert response["error"] == "stream cancelled"
+        # And the connection still serves regular requests.
+        _send_line(client, {"id": "after", "op": "count", "spec": SPEC})
+        while True:
+            response = json.loads(client._read_line())
+            if response.get("id") == "after":
+                assert response["ok"] and response["result"] == 32
+                break
 
-        host, port = tcp_server
-        with socket_module.create_connection((host, port), timeout=15) as sock:
-            stream_request = {
-                "id": "dup",
-                "op": "enumerate",
-                "spec": BIG_SPEC,
-                "stream": True,
-                "chunk_size": 5,
-            }
-            reader = sock.makefile()
-            sock.sendall(
-                json.dumps(stream_request).encode() + b"\n"
-                + json.dumps(stream_request).encode() + b"\n"
-            )
-            for _ in range(2):  # one chunk from each stream
-                assert json.loads(reader.readline())["ok"]
-            sock.sendall(
-                json.dumps({"id": "kill", "op": "cancel", "target": "dup"}).encode()
-                + b"\n"
-            )
-            cancelled = 0
-            deadline = 200  # lines, not seconds: both streams are fast
-            while cancelled < 2 and deadline:
-                response = json.loads(reader.readline())
-                if response.get("id") == "kill":
-                    assert response["result"] == "cancelled"
-                if (
-                    response.get("id") == "dup"
-                    and not response.get("ok")
-                    and response.get("error_type") == "CancelledError"
-                ):
-                    cancelled += 1
-                deadline -= 1
-            assert cancelled == 2, "both duplicate-id streams must be cancelled"
-            # And the connection still serves regular requests.
-            sock.sendall(
-                json.dumps({"id": "after", "op": "count", "spec": SPEC}).encode()
-                + b"\n"
-            )
-            while True:
-                response = json.loads(reader.readline())
-                if response.get("id") == "after":
-                    assert response["ok"] and response["result"] == 32
-                    break
+    def test_trace_timing_and_request_metrics(self, transport):
+        """Both front ends time the server stages of a traced request
+        and count it in the request metrics."""
+        client = transport()
+        registry = obs.metrics()
+        requests = registry.counter(
+            metric_names.SERVER_REQUESTS, labels={"op": "count"}
+        )
+        latency = registry.histogram(metric_names.REQUEST_SECONDS)
+        counted, timed = requests.value, latency.count
+        response = client.request("count", SPEC, trace=True)
+        assert response["ok"] and response["result"] == 32
+        timing = response["timing"]
+        assert timing[metric_names.STAGE_PARSE] >= 0
+        assert timing[metric_names.STAGE_COALESCE_WAIT] >= 0
+        assert requests.value == counted + 1
+        assert latency.count == timed + 1
 
     def test_paused_stream_survives_interleaved_requests(self, tcp_server):
         """Other requests on the same client while a stream generator is
