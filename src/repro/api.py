@@ -72,11 +72,11 @@ from repro.core.enumeration import (
 from repro.core.exact import count_words_exact, length_spectrum
 from repro.core.exact_sampler import ExactUniformSampler
 from repro.core.fpras import FprasParameters, FprasState
-from repro.core.kernel import CompiledDAG, compile_nfa
+from repro.core.kernel import CompiledDAG
 from repro.core.plan import Plan, Product, as_plan, lower_plan
 from repro.core.plvug import DEFAULT_ATTEMPTS_PER_CALL
 from repro.core.relations import AutomatonBackedRelation, CompiledInstance
-from repro.core.unroll import UnrolledDAG, accepted_word_exists, unroll_trimmed
+from repro.core.unroll import accepted_word_exists
 from repro.errors import (
     EmptyWitnessSetError,
     GenerationFailedError,
@@ -338,14 +338,12 @@ class WitnessSet:
         return self._cached("nonempty", build)
 
     @property
-    def dag(self) -> UnrolledDAG:
+    def dag(self) -> CompiledDAG:
         """The Lemma 15 pruned unrolling, shared by enumerator and sampler.
 
-        Plan-backed sets answer this with the lazily lowered kernel
-        itself (it implements the full set-based adapter API)."""
-        if self.plan is not None:
-            return self.kernel
-        return self._cached("dag", lambda: unroll_trimmed(self.stripped, self.n))
+        This is the kernel itself: it implements the full set-based
+        :class:`~repro.core.unroll.UnrolledDAG` adapter API."""
+        return self.kernel
 
     @property
     def kernel(self) -> CompiledDAG:
@@ -400,9 +398,7 @@ class WitnessSet:
             return lower_plan(
                 self.plan, self.n, trimmed=trimmed, adjacency=self._plan_adjacency
             )
-        if trimmed:
-            return CompiledDAG.from_unrolled(self.dag)
-        return compile_nfa(self.stripped, self.n, trimmed=False)
+        return CompiledDAG(self.stripped, self.n, trimmed)
 
     def _load_or_build_kernel(self, trimmed: bool) -> CompiledDAG:
         """Restore the kernel from the store, or build it and persist it.

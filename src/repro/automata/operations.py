@@ -6,11 +6,11 @@ operation relabels operands into disjoint namespaces before combining.
 
 The product (intersection) construction here is also the engine behind the
 graph-database RPQ evaluation of Section 4.2 (product of a graph with a
-query automaton) and the unambiguity test (product of an automaton with
-itself) — all three now share one lazy pair exploration,
-:func:`product_transitions`, which works over anything exposing the
-on-the-fly successor interface (concrete :class:`NFA`\\ s or the symbolic
-plans of :mod:`repro.core.plan`).
+query automaton).  Its lazy pair exploration, :func:`product_transitions`,
+works over anything exposing the on-the-fly successor interface (concrete
+:class:`NFA`\\ s or the symbolic plans of :mod:`repro.core.plan`).  The
+unambiguity test (product of an automaton with itself) walks its pairs
+on interned integers instead, in :mod:`repro.automata.unambiguous`.
 
 Two construction styles coexist:
 
@@ -139,9 +139,7 @@ def product_transitions(
     reach a final state are pruned *before* they are materialized, which
     is a necessary condition for product usefulness.
 
-    This single exploration is shared by the eager :func:`intersection`,
-    and — instantiated with ``b = a`` — by the self-product ambiguity
-    check of :mod:`repro.automata.unambiguous`.
+    This exploration backs the eager :func:`intersection`.
     """
     start = (a.initial, b.initial)
     seen = {start}

@@ -4,7 +4,7 @@ A library users adopt needs its objects to survive a process boundary.
 This module provides:
 
 * :func:`nfa_to_json` / :func:`nfa_from_json` — a stable, versioned JSON
-  encoding of NFAs (states and symbols must be JSON-representable:
+  encoding of NFAs (:func:`nfa_from_document` decodes the parsed object) (states and symbols must be JSON-representable:
   strings, numbers, booleans, or nested lists/tuples thereof; tuples are
   encoded as tagged lists so round-trips are exact);
 * :func:`nfa_to_dot` — Graphviz DOT text for automata (initial state
@@ -80,7 +80,16 @@ def nfa_to_json(nfa: NFA, indent: int | None = None) -> str:
 
 def nfa_from_json(text: str) -> NFA:
     """Inverse of :func:`nfa_to_json` (validates format and version)."""
-    document = json.loads(text)
+    return nfa_from_document(json.loads(text))
+
+
+def nfa_from_document(document: dict[str, Any]) -> NFA:
+    """The NFA of an already-parsed :func:`nfa_to_json` document.
+
+    Same format/version validation and errors as :func:`nfa_from_json`,
+    for callers holding the decoded JSON object (a service request's
+    spec) that would otherwise re-encode it to text first.
+    """
     if document.get("format") != "repro.nfa":
         raise InvalidAutomatonError("not a repro.nfa document")
     if document.get("version") != FORMAT_VERSION:

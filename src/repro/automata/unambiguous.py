@@ -12,13 +12,15 @@ useful product state ``(p, q)`` with ``p ≠ q`` lies on an accepting product
 path.  That runs in O(m²·|Σ|) — polynomial, as required for a class
 membership check.
 
-The product pairs are explored through the shared lazy pair walk
-:func:`repro.automata.operations.product_transitions`, so the check
-accepts either a concrete :class:`NFA` (ε-eliminated and trimmed first)
-or any source exposing the on-the-fly successor interface — in
-particular the symbolic plans of :mod:`repro.core.plan`, whose product
-states are never materialized beyond the pairs the walk actually
-reaches.
+The check accepts either a concrete :class:`NFA` (ε-eliminated and
+trimmed first) or any source exposing the on-the-fly successor
+interface — in particular the symbolic plans of :mod:`repro.core.plan`,
+whose states are never materialized beyond the ones the walk reaches.
+It interns the source's reachable states to ints once and walks the
+self-product on int-encoded unordered pairs, so no state object is
+hashed per product edge (the eager
+:func:`~repro.automata.operations.intersection` keeps the object-level
+pair walk :func:`~repro.automata.operations.product_transitions`).
 
 Also provided:
 
@@ -30,8 +32,6 @@ Also provided:
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 from repro.automata.dfa import determinize
 from repro.automata.nfa import NFA
@@ -45,59 +45,90 @@ def is_unambiguous(source) -> bool:
     ambiguity is a property of *useful* runs and dead branches must not
     trigger false positives — or any lazy automaton source (a
     :class:`repro.core.plan.Plan`), checked directly on the on-the-fly
-    successor interface without materializing the operand.  Only the
-    forward-reachable pairs of the self-product ever exist; usefulness
+    successor interface without materializing the operand.  Usefulness
     of a divergent pair is decided by the backward sweep below, so the
     explicit pre-trim is unnecessary for correctness (it only shrinks the
     NFA walk).
+
+    The walk runs on integers: the source's reachable states are
+    interned once (each state's ``out_edges`` read once) into per-symbol
+    successor tuples, and product pairs are single ints.  The product of
+    an automaton with itself is symmetric — ``(p, q) → (p', q')`` iff
+    ``(q, p) → (q', p')`` — so reachability and co-reachability of
+    ``(p, q)`` and ``(q, p)`` agree, and the walk keeps one unordered
+    pair ``{p, q}`` per class.
     """
     if isinstance(source, NFA):
         source = source.without_epsilon().trim()
         if not source.finals:
             return True  # empty language: vacuously unambiguous
-    else:
-        # Lazy sources recompute successor blocks per call; the pair walk
-        # revisits each component state many times, so memoize once here.
-        from repro.core.plan import memoized_source
 
-        source = memoized_source(source)
+    # Intern the reachable states: successors[s] maps a symbol to the
+    # tuple of target ids, each state's edges read once.
+    initial = source.initial
+    ids = {initial: 0}
+    states = [initial]
+    successors: list[dict] = []
+    out_edges = source.out_edges
+    for state in states:  # grows while it is walked: a BFS
+        by_symbol: dict = {}
+        for symbol, target in out_edges(state):
+            j = ids.get(target)
+            if j is None:
+                j = ids[target] = len(states)
+                states.append(target)
+            by_symbol.setdefault(symbol, []).append(j)
+        successors.append({a: tuple(ts) for a, ts in by_symbol.items()})
+    m = len(states)
 
-    # One shared lazy pair walk streams the self-product transitions:
-    # record the reached pairs, the off-diagonal ("divergent") ones, and
-    # the reverse adjacency the backward sweep needs — a single pass
-    # instead of the former explore-then-re-explore duplicate of the
-    # operations.intersection product loop.
-    from repro.automata.operations import product_transitions
-
-    start = (source.initial, source.initial)
-    seen = {start}
-    diagonal_escaped: set = set()
-    reverse: dict[tuple, set] = {}
-    for predecessor, _, pair in product_transitions(source, source):
-        seen.add(pair)
-        if pair[0] != pair[1]:
-            diagonal_escaped.add(pair)
-        reverse.setdefault(pair, set()).add(predecessor)
-
-    if not diagonal_escaped:
+    # The self-product walk on unordered pairs p ≤ q, encoded p·m + q.
+    seen = {0}
+    stack = [0]
+    divergent = False
+    while stack:
+        p, q = divmod(stack.pop(), m)
+        succ_q = successors[q]
+        for symbol, targets_p in successors[p].items():
+            targets_q = succ_q.get(symbol)
+            if targets_q is None:
+                continue
+            for x in targets_p:
+                for y in targets_q:
+                    pair = x * m + y if x <= y else y * m + x
+                    if pair not in seen:
+                        seen.add(pair)
+                        stack.append(pair)
+                        divergent = divergent or x != y
+    if not divergent:
         return True
 
     # A divergent pair (p, q), p ≠ q, witnesses ambiguity iff both legs can
     # reach final states by the same word suffix — i.e. iff (p, q) can reach
-    # a pair of finals in the product.  Backward BFS from final pairs.
+    # a pair of finals in the product.  Sweep backward from the reached
+    # final pairs through the reached pairs; on a UFA only diagonal pairs
+    # are ever co-reachable, so the sweep stays small.
+    predecessors: list[dict] = [{} for _ in states]
+    for p, by_symbol in enumerate(successors):
+        for symbol, targets_p in by_symbol.items():
+            for x in targets_p:
+                predecessors[x].setdefault(symbol, []).append(p)
     finals = source.finals
-    final_pairs = {(p, q) for p, q in seen if p in finals and q in finals}
-    if not final_pairs:
-        return True
-    coreachable = set(final_pairs)
-    frontier = deque(final_pairs)
+    final = [state in finals for state in states]
+    frontier = [pair for pair in seen if final[pair // m] and final[pair % m]]
+    coreachable = set(frontier)
     while frontier:
-        pair = frontier.popleft()
-        for predecessor in reverse.get(pair, ()):
-            if predecessor not in coreachable:
-                coreachable.add(predecessor)
-                frontier.append(predecessor)
-    return not (diagonal_escaped & coreachable)
+        x, y = divmod(frontier.pop(), m)
+        if x != y:
+            return False
+        preds_y = predecessors[y]
+        for symbol, preds_x in predecessors[x].items():
+            for p in preds_x:
+                for q in preds_y.get(symbol, ()):
+                    pair = p * m + q if p <= q else q * m + p
+                    if pair in seen and pair not in coreachable:
+                        coreachable.add(pair)
+                        frontier.append(pair)
+    return True
 
 
 def require_unambiguous(nfa: NFA, context: str = "this operation") -> NFA:

@@ -38,7 +38,6 @@ from repro.core.plan import (
     Union,
     as_plan,
     lower_plan,
-    memoized_source,
 )
 from repro.core.exact import (
     backward_run_table,
@@ -116,7 +115,6 @@ __all__ = [
     "LoweringStats",
     "as_plan",
     "lower_plan",
-    "memoized_source",
     "unroll",
     "unroll_trimmed",
     "lemma15_graph",

@@ -16,13 +16,23 @@ integer-indexed arrays:
   ``repr``, matching the edge order Algorithm 1 requires), with an index
   map state → local integer;
 * per layer, a CSR-style flat edge list ``(src_idx, symbol_idx,
-  dst_idx)`` built once from the NFA's transition maps, sorted per source
-  so traversal order is identical to ``UnrolledDAG.ordered_successors``;
+  dst_idx)``, sorted per source so traversal order is identical to
+  ``UnrolledDAG.ordered_successors``;
 * forward/backward run-count tables stored as ``array('q')`` when every
   entry fits a machine word, spilling to plain Python lists when the
   bignum counts overflow 64 bits — exactness is never sacrificed;
 * a lazily built reverse CSR for backward walks (the FPRAS's
   ``T_b(s_i^α)`` queries).
+
+Every kernel is built by one integer-indexed pass, :func:`_unroll`, that
+never builds the set-based view: it interns each reached state once,
+reads its ``out_edges`` once, runs the forward layering and the Lemma 15
+backward trim on sets of ints, and sorts the live states by ``repr``
+once.  The pass builds NFA kernels (:func:`compile_nfa`, the facade),
+plan kernels (:func:`repro.core.plan.lower_plan`) and the layers
+:meth:`CompiledDAG.extend_to` appends.  Equal layers share one state
+tuple, index map and edge-array set, so per-layer structures are never
+mutated in place (extension appends; mmap copy-on-extend replaces).
 
 All computation then streams over integer arrays; the set-based
 :class:`UnrolledDAG` API is preserved as thin adapter methods, so the
@@ -39,16 +49,17 @@ The kernel is *source-generic*: construction only reads the NFA
 interface (``initial`` / ``finals`` membership / ``out_edges`` /
 ``alphabet`` / ``has_epsilon``), so the lazy plan lowering of
 :mod:`repro.core.plan` hands it a memoized symbolic source instead of a
-materialized automaton and the same CSR-construction code path serves
-both.  Plan-lowered kernels carry their :class:`~repro.core.plan.
-LoweringStats` in :attr:`CompiledDAG.lowering` (``None`` for kernels
-compiled from concrete NFAs).
+materialized automaton and the same pass serves both.  Plan-lowered
+kernels carry their :class:`~repro.core.plan.LoweringStats` in
+:attr:`CompiledDAG.lowering` (``None`` for kernels compiled from
+concrete NFAs).
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
+from itertools import accumulate, chain, compress
 from random import Random
 from typing import (
     TYPE_CHECKING,
@@ -57,9 +68,11 @@ from typing import (
     Container,
     Iterable,
     Iterator,
+    NamedTuple,
     Protocol,
     Sequence,
     TypeAlias,
+    cast,
 )
 
 from repro.automata.nfa import NFA, State, Symbol, Word
@@ -124,6 +137,183 @@ def _pack_counts(counts: list[int]) -> CountRow:
     return array("q", counts)
 
 
+class _Unrolled(NamedTuple):
+    """What :func:`_unroll` hands the kernel: live layers and CSR blocks.
+
+    Equal layers share one tuple, index map and (for equal consecutive
+    pairs) one set of edge arrays; none of them is ever mutated.
+    """
+
+    #: Live states per layer ``0..steps``, in repr order (layer 0 keeps
+    #: the order of ``start``), and each layer's state → index map.
+    states: list[tuple[State, ...]]
+    index: list[dict[State, int]]
+    #: CSR edge blocks ``t → t + 1`` for ``t < steps``.
+    edge_start: list[_IntArray]
+    edge_symbol: list[_IntArray]
+    edge_dst: list[_IntArray]
+    #: ``(states expanded, states reached, edges read)``.
+    exploration: tuple[int, int, int]
+
+
+def _unroll(
+    source: AutomatonSource,
+    start: Sequence[State],
+    steps: int,
+    trimmed: bool,
+    symbol_index: dict[Symbol, int],
+) -> _Unrolled:
+    """The Lemma 15 unrolling of ``source`` from layer ``start``, on integers.
+
+    One pass builds every kernel: :class:`CompiledDAG` runs it from the
+    initial state, :meth:`CompiledDAG.extend_to` from the last layer it
+    has.
+
+    * Each reached state is interned to an int, and its ``out_edges``
+      are read once, the first time a layer holds it — not once per
+      (layer, state).
+    * The forward layers and, when ``trimmed``, the backward pruning (a
+      state stays live iff it is a predecessor of a state live in the
+      next layer) are frozensets of ints.
+    * One ``repr`` sort of the live states gives a global rank.  Each
+      state's edges are sorted once by (symbol index, rank), so a
+      layer's CSR block is that order filtered through the next layer's
+      position map.  This reproduces the ``(repr(symbol), repr(state))``
+      edge order of :meth:`UnrolledDAG.ordered_successors` with no
+      per-layer sort.
+    * Layers repeat (a DFA's reachable sets cycle after a few steps), so
+      every per-layer result — next layer, pruned layer, order, index
+      map, CSR block — is computed once per distinct layer (or pair of
+      consecutive layers) and shared.
+    """
+    out_edges = source.out_edges
+    objs: list[State] = list(start)
+    ids: dict[State, int] = {state: i for i, state in enumerate(objs)}
+    # Per expanded state id: its (symbol index, target id) edges and its
+    # target-id set; absent until the state is expanded.
+    edges: dict[int, list[tuple[int, int]]] = {}
+    targets: dict[int, frozenset[int]] = {}
+    # One shared object per distinct layer, so the memo lookups below
+    # compare by identity and hash from the frozenset's cached hash.
+    distinct: dict[frozenset[int], frozenset[int]] = {}
+    forward_step: dict[frozenset[int], frozenset[int]] = {}
+    layers = [frozenset(range(len(objs)))]
+    for _ in range(steps):
+        layer = layers[-1]
+        nxt = forward_step.get(layer)
+        if nxt is None:
+            for s in layer.difference(targets):
+                block = []
+                for symbol, target in out_edges(objs[s]):
+                    j = ids.get(target)
+                    if j is None:
+                        j = ids[target] = len(objs)
+                        objs.append(target)
+                    block.append((symbol_index[symbol], j))
+                edges[s] = block
+                targets[s] = frozenset([j for _, j in block])
+            nxt = frozenset().union(*map(targets.__getitem__, layer))
+            nxt = forward_step[layer] = distinct.setdefault(nxt, nxt)
+        layers.append(nxt)
+    exploration = (len(edges), len(objs), sum(map(len, edges.values())))
+
+    if trimmed:
+        finals = source.finals
+        predecessors: list[list[int]] = [[] for _ in objs]
+        for s, reached in targets.items():
+            for j in reached:
+                predecessors[j].append(s)
+        backward_step: dict[tuple[frozenset[int], frozenset[int]], frozenset[int]] = {}
+        live = frozenset(s for s in layers[steps] if objs[s] in finals)
+        alive = [live]
+        for t in range(steps - 1, -1, -1):
+            key = (layers[t], live)
+            earlier = backward_step.get(key)
+            if earlier is None:
+                earlier = layers[t].intersection(
+                    chain.from_iterable(map(predecessors.__getitem__, live))
+                )
+                earlier = backward_step[key] = distinct.setdefault(earlier, earlier)
+            live = earlier
+            alive.append(live)
+        alive.reverse()
+        layers = alive
+
+    # Global repr rank of every state live in some layer; states live in
+    # none keep rank -1 and drop out of the sorted edge blocks.
+    ranked = sorted(frozenset().union(*layers), key=lambda s: repr(objs[s]))
+    rank = [-1] * len(objs)
+    for r, s in enumerate(ranked):
+        rank[s] = r
+    block_symbols: list[tuple[int, ...]] = []
+    block_targets: list[tuple[int, ...]] = []
+    for s in ranked:
+        block = sorted(
+            (symbol_i, rank[j]) for symbol_i, j in edges.get(s, ()) if rank[j] >= 0
+        )
+        block_symbols.append(tuple(symbol_i for symbol_i, _ in block))
+        block_targets.append(tuple(target_rank for _, target_rank in block))
+
+    # Each distinct layer's order, numbered (layer 0 keeps the start
+    # order), with its state tuple and index map.
+    orders = [[rank[s] for s in range(len(start)) if s in layers[0]]]
+    order_of: dict[frozenset[int], int] = {}
+    layer_order = [0]
+    for layer in layers[1:]:
+        k = order_of.get(layer)
+        if k is None:
+            k = order_of[layer] = len(orders)
+            orders.append(sorted(map(rank.__getitem__, layer)))
+        layer_order.append(k)
+    by_rank = [objs[s] for s in ranked]
+    states_of = [tuple(map(by_rank.__getitem__, ranks)) for ranks in orders]
+    index_of = [dict(zip(states_t, range(len(states_t)))) for states_t in states_of]
+
+    csr: dict[tuple[int, int], tuple[_IntArray, _IntArray, _IntArray]] = {}
+    edge_start: list[_IntArray] = []
+    edge_symbol: list[_IntArray] = []
+    edge_dst: list[_IntArray] = []
+    for t in range(steps):
+        key = (layer_order[t], layer_order[t + 1])
+        arrays = csr.get(key)
+        if arrays is None:
+            ranks, after = orders[key[0]], orders[key[1]]
+            position = dict(zip(after, range(len(after))))
+            symbols_t = list(chain.from_iterable(map(block_symbols.__getitem__, ranks)))
+            dsts = list(
+                map(
+                    position.get,
+                    chain.from_iterable(map(block_targets.__getitem__, ranks)),
+                )
+            )
+            bounds: Iterable[int] = accumulate(
+                map(len, map(block_symbols.__getitem__, ranks)), initial=0
+            )
+            if None in dsts:
+                # Trimmed layers: drop the edges into states dead at t + 1.
+                keep = [j is not None for j in dsts]
+                symbols_t = list(compress(symbols_t, keep))
+                dsts = list(compress(dsts, keep))
+                kept = list(accumulate(keep, initial=0))
+                bounds = map(kept.__getitem__, bounds)
+            arrays = csr[key] = (
+                array("l", bounds),
+                array("l", symbols_t),
+                array("l", cast("list[int]", dsts)),
+            )
+        edge_start.append(arrays[0])
+        edge_symbol.append(arrays[1])
+        edge_dst.append(arrays[2])
+    return _Unrolled(
+        [states_of[k] for k in layer_order],
+        [index_of[k] for k in layer_order],
+        edge_start,
+        edge_symbol,
+        edge_dst,
+        exploration,
+    )
+
+
 class CompiledDAG:
     """Integer-indexed compilation of an unrolled layered DAG.
 
@@ -141,10 +331,16 @@ class CompiledDAG:
         start→final path — the enumeration/sampling view), ``False`` for
         reachable-only vertices (the FPRAS / spectrum view, which also
         supports :meth:`extend_to`).
-    layers:
-        Optional precomputed live-state sets (one frozenset per layer,
-        as built by :class:`~repro.core.unroll.UnrolledDAG`); when
-        omitted they are recomputed from the automaton.
+
+    Construction is the integer-indexed pass :func:`_unroll`: each
+    source state's edges are read once, whatever the number of layers
+    holding it, and the layers, index maps and CSR blocks equal those
+    of the set-based :class:`~repro.core.unroll.UnrolledDAG` of the same
+    ``(nfa, n, trimmed)``.  :attr:`exploration` records the pass's
+    ``(states expanded, states reached, edges read)``, which
+    :func:`repro.core.plan.lower_plan` turns into its
+    :class:`~repro.core.plan.LoweringStats` (``None`` on a
+    snapshot-restored kernel).
     """
 
     __slots__ = (
@@ -164,6 +360,7 @@ class CompiledDAG:
         "_cum",
         "_layer_sets",
         "_finals_idx",
+        "exploration",
         "lowering",
         "fingerprint",
         "accel",
@@ -187,19 +384,14 @@ class CompiledDAG:
     _cum: dict[tuple[int, int], list[int]]
     _layer_sets: dict[int, frozenset[State]]
     _finals_idx: dict[int, tuple[int, ...]]
+    exploration: tuple[int, int, int] | None
     lowering: LoweringStats | None
     fingerprint: str | None
     accel: NumpyAccel | None
     _accel_state: dict[tuple[str, int], object]
     _borrow_owner: object | None
 
-    def __init__(
-        self,
-        nfa: AutomatonSource,
-        n: int,
-        trimmed: bool,
-        layers: Sequence[frozenset[State]] | None = None,
-    ) -> None:
+    def __init__(self, nfa: AutomatonSource, n: int, trimmed: bool) -> None:
         if nfa.has_epsilon:
             raise InvalidAutomatonError("kernel compilation requires an ε-free NFA")
         if n < 0:
@@ -207,21 +399,16 @@ class CompiledDAG:
         self.nfa = nfa
         self.n = n
         self.trimmed = trimmed
-        if layers is None:
-            from repro.core.unroll import UnrolledDAG
-
-            layers = UnrolledDAG(nfa, n, trimmed).layers
         self.symbols = tuple(sorted(nfa.alphabet, key=repr))
         self._symbol_index = {s: i for i, s in enumerate(self.symbols)}
-        self._states = [tuple(sorted(layer, key=repr)) for layer in layers]
-        self._index = [
-            {state: i for i, state in enumerate(states)} for states in self._states
-        ]
-        self._edge_start = []
-        self._edge_symbol = []
-        self._edge_dst = []
-        for t in range(n):
-            self._append_edge_layer(t)
+        unrolled = _unroll(nfa, (nfa.initial,), n, trimmed, self._symbol_index)
+        self._states = unrolled.states
+        self._index = unrolled.index
+        self._edge_start = unrolled.edge_start
+        self._edge_symbol = unrolled.edge_symbol
+        self._edge_dst = unrolled.edge_dst
+        #: ``(states expanded, states reached, edges read)`` by the pass.
+        self.exploration = unrolled.exploration
         self._redge = {}
         self._forward = None
         self._backward = None
@@ -254,10 +441,11 @@ class CompiledDAG:
 
     @classmethod
     def from_unrolled(cls, dag: UnrolledDAG | CompiledDAG) -> "CompiledDAG":
-        """Lower an already-built :class:`UnrolledDAG` (live sets reused)."""
+        """Compile the kernel of an :class:`UnrolledDAG`'s automaton, length
+        and mode (the kernel's own pass recomputes the live sets)."""
         if isinstance(dag, CompiledDAG):
             return dag
-        return cls(dag.nfa, dag.n, dag.trimmed, layers=dag.layers)
+        return cls(dag.nfa, dag.n, dag.trimmed)
 
     def set_kernel_backend(self, name: str | None) -> "CompiledDAG":
         """Select the execution backend (``"pure"``, ``"numpy"``, ``"auto"``).
@@ -287,32 +475,6 @@ class CompiledDAG:
             metric_names.ACCEL_SPILLS, labels={"site": site}
         ).inc()
 
-    def _append_edge_layer(self, t: int) -> None:
-        """Build the CSR edge block for layer ``t`` → ``t + 1``."""
-        index_next = self._index[t + 1]
-        symbol_index = self._symbol_index
-        offsets = array("l", [0])
-        edge_symbol = array("l")
-        edge_dst = array("l")
-        out_edges = self.nfa.out_edges
-        for state in self._states[t]:
-            edges = []
-            for symbol, target in out_edges(state):
-                j = index_next.get(target)
-                if j is not None:
-                    edges.append((symbol_index[symbol], j))
-            # Symbol indices and dst indices are both assigned in repr
-            # order, so this integer sort reproduces the (repr(symbol),
-            # repr(state)) order of UnrolledDAG.ordered_successors.
-            edges.sort()
-            for symbol_i, j in edges:
-                edge_symbol.append(symbol_i)
-                edge_dst.append(j)
-            offsets.append(len(edge_symbol))
-        self._edge_start.append(offsets)
-        self._edge_symbol.append(edge_symbol)
-        self._edge_dst.append(edge_dst)
-
     def extend_to(self, new_n: int) -> "CompiledDAG":
         """Extend a reachable-mode compilation to length ``new_n`` in place.
 
@@ -336,17 +498,19 @@ class CompiledDAG:
             # resize away from) memory the store still owns, so the
             # kernel first copies itself onto owned arrays.
             self._materialize_owned()
-        out_edges = self.nfa.out_edges
-        for t in range(self.n, new_n):
-            nxt: set[State] = set()
-            for state in self._states[t]:
-                for _, target in out_edges(state):
-                    nxt.add(target)
-            states_next = tuple(sorted(nxt, key=repr))
-            self._states.append(states_next)
-            self._index.append({state: i for i, state in enumerate(states_next)})
-            self._append_edge_layer(t)
-            if self._forward is not None:
+        # The same pass as construction, started from the last layer
+        # (whose order it keeps), so the appended layers and edge blocks
+        # are those a fresh compilation at new_n would build.
+        unrolled = _unroll(
+            self.nfa, self._states[self.n], new_n - self.n, False, self._symbol_index
+        )
+        self._states += unrolled.states[1:]
+        self._index += unrolled.index[1:]
+        self._edge_start += unrolled.edge_start
+        self._edge_symbol += unrolled.edge_symbol
+        self._edge_dst += unrolled.edge_dst
+        if self._forward is not None:
+            for t in range(self.n, new_n):
                 row = (
                     self.accel.forward_step_row(self, t, self._forward[t])
                     if self.accel is not None

@@ -751,20 +751,8 @@ class _MemoSource:
             self.adjacency[state] = edges
         return edges
 
-    def successors(self, state: State, symbol: Symbol) -> frozenset[State]:
-        return frozenset(t for s, t in self.out_edges(state) if s == symbol)
-
     def __repr__(self) -> str:  # pragma: no cover - diagnostics
         return f"<MemoSource {self.plan.describe()} states={len(self.adjacency)}>"
-
-
-def memoized_source(plan: "Plan | NFA | str") -> _MemoSource:
-    """Wrap ``plan`` so each state's successor block is computed once.
-
-    Used by consumers that revisit states many times (the self-product
-    ambiguity walk); :func:`lower_plan` builds its own memo internally.
-    """
-    return _MemoSource(as_plan(plan), {})
 
 
 def lower_plan(
@@ -775,74 +763,40 @@ def lower_plan(
 ) -> CompiledDAG:
     """Lower ``plan``'s length-``n`` unrolling straight into a kernel.
 
-    One fused pass: explore the forward-reachable plan states layer by
-    layer (each state's successor block computed exactly once and
-    memoized), prune to the backward-useful vertices when ``trimmed``
-    (the Lemma 15 semantics of :func:`repro.core.unroll.unroll_trimmed`),
-    then hand the memoized adjacency and the live-layer sets to
-    :class:`~repro.core.kernel.CompiledDAG`, which writes the CSR edge
-    arrays from the memo — never from a materialized NFA.
+    The plan, wrapped in its successor memo, is handed to
+    :class:`~repro.core.kernel.CompiledDAG`, whose one integer-indexed
+    pass explores the forward-reachable plan states layer by layer
+    (each state's successor block computed once and memoized), prunes to
+    the backward-useful vertices when ``trimmed`` (the Lemma 15
+    semantics of :func:`repro.core.unroll.unroll_trimmed`) and writes
+    the CSR edge arrays — never from a materialized NFA.
 
     The returned kernel is bit-identical (states, edge order, symbols) to
     compiling the eager product NFA of the same composition, so exact
     counts, spectra and seeded sampling streams agree with the eager
     pipeline; only the construction cost differs.  ``kernel.lowering``
-    carries the :class:`LoweringStats`.
+    carries the :class:`LoweringStats`, taken from the pass's own
+    exploration counts.
 
     ``adjacency`` optionally supplies a successor memo shared across
     several lowerings of the *same plan* (the facade passes one dict for
-    its trimmed and reachable kernels, so the exploration is paid once
-    per witness set); the stats still report only the states this
-    lowering's own forward pass reached.
+    its trimmed and reachable kernels, so each plan state's successors
+    are computed once per witness set); the stats still report only the
+    states this lowering's own forward pass reached and expanded.
     """
-    if n < 0:
-        raise ValueError("word length must be ≥ 0")
     plan = as_plan(plan)
-    if adjacency is None:
-        adjacency = {}
-    source = _MemoSource(plan, adjacency)
-
-    layers: list[frozenset[State]] = [frozenset({plan.initial})]
-    for _ in range(n):
-        nxt: set[State] = set()
-        for state in layers[-1]:
-            for _, target in source.out_edges(state):
-                nxt.add(target)
-        layers.append(frozenset(nxt))
-
-    reached: set[State] = set()
-    for layer in layers:
-        reached |= layer
-
-    if trimmed:
-        finals = plan.finals
-        # The backward-useful layers, built back to front (appending the
-        # earlier layer each step, then reversing) so no placeholder slots
-        # ever hold a non-frozenset.
-        alive: list[frozenset[State]] = [
-            frozenset(state for state in layers[n] if state in finals)
-        ]
-        for t in range(n - 1, -1, -1):
-            later = alive[-1]
-            alive.append(
-                frozenset(
-                    state
-                    for state in layers[t]
-                    if any(target in later for _, target in adjacency[state])
-                )
-            )
-        alive.reverse()
-        layers = alive
-
-    kernel = CompiledDAG(source, n, trimmed, layers=layers)
-    # Count against `reached` (not the raw memo) so a shared adjacency
+    source = _MemoSource(plan, {} if adjacency is None else adjacency)
+    kernel = CompiledDAG(source, n, trimmed)
+    # The pass's own counts (not the memo's size), so a shared adjacency
     # dict from an earlier lowering never inflates this lowering's stats.
-    explored = [state for state in reached if state in adjacency]
+    explored_states, reached_states, explored_edges = cast(
+        "tuple[int, int, int]", kernel.exploration
+    )
     kernel.lowering = LoweringStats(
         nominal_states=plan.nominal_states(),
-        explored_states=len(explored),
-        reached_states=len(reached),
-        explored_edges=sum(len(adjacency[state]) for state in explored),
+        explored_states=explored_states,
+        reached_states=reached_states,
+        explored_edges=explored_edges,
         kernel_vertices=kernel.vertex_count(),
         kernel_edges=kernel.edge_count(),
         n=n,
@@ -865,5 +819,4 @@ __all__ = [
     "LoweringStats",
     "as_plan",
     "lower_plan",
-    "memoized_source",
 ]

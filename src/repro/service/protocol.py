@@ -123,7 +123,7 @@ def spec_key(spec: dict[str, Any]) -> str:
 def _sub_source(sub: dict[str, Any]) -> NFA:
     """An NFA from an ``intersection`` operand sub-spec."""
     from repro.automata.regex import compile_regex
-    from repro.automata.serialization import nfa_from_json
+    from repro.automata.serialization import nfa_from_document
 
     kind = sub.get("kind", "regex")
     if kind == "regex":
@@ -132,7 +132,7 @@ def _sub_source(sub: dict[str, Any]) -> NFA:
             sub["pattern"], alphabet=list(alphabet) if alphabet else None
         )
     if kind == "nfa":
-        return nfa_from_json(json.dumps(sub["nfa"]))
+        return nfa_from_document(sub["nfa"])
     raise ProtocolError(f"unsupported intersection operand kind {kind!r}")
 
 
@@ -163,10 +163,10 @@ def witness_set_from_spec(
                 spec["pattern"], spec["n"], alphabet=alphabet, **kwargs
             )
         if kind == "nfa":
-            from repro.automata.serialization import nfa_from_json
+            from repro.automata.serialization import nfa_from_document
 
             return WitnessSet.from_nfa(
-                nfa_from_json(json.dumps(spec["nfa"])), spec["n"], **kwargs
+                nfa_from_document(spec["nfa"]), spec["n"], **kwargs
             )
         if kind == "intersection":
             return WitnessSet.from_intersection(

@@ -392,6 +392,7 @@ def kernel_from_bytes(
     kernel._cum = {}
     kernel._layer_sets = {}
     kernel._finals_idx = finals_idx
+    kernel.exploration = None
     lowering = header.get("lowering")
     kernel.lowering = LoweringStats(**lowering) if lowering else None
     kernel.fingerprint = None  # the store stamps its key after restore

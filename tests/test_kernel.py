@@ -22,7 +22,7 @@ from repro.core.exact import (
 )
 from repro.core.fpras import FprasParameters, FprasState
 from repro.core.kernel import CompiledDAG, as_kernel, compile_nfa
-from repro.core.unroll import unroll, unroll_trimmed
+from repro.core.unroll import UnrolledDAG, unroll, unroll_trimmed
 from repro.errors import EmptyWitnessSetError, InvalidAutomatonError
 from repro.utils.rng import make_rng
 
@@ -58,6 +58,78 @@ class TestStructureMatchesUnrolledDAG:
                         assert kernel.predecessors(t, state, symbol) == dag.predecessors(
                             t, state, symbol
                         )
+
+    @staticmethod
+    def _assert_same_structure(kernel, dag):
+        """Layers, finals and every live vertex's ordered edges agree."""
+        assert kernel.n == dag.n
+        assert kernel.layers == list(dag.layers)
+        for t in range(dag.n + 1):
+            assert list(kernel.layer_states(t)) == sorted(dag.layer(t), key=repr)
+        assert kernel.final_states == dag.final_states
+        assert kernel.is_empty == dag.is_empty
+        assert kernel.vertex_count() == dag.vertex_count()
+        assert kernel.edge_count() == dag.edge_count()
+        for t in range(dag.n):
+            for state in dag.layer(t):
+                assert kernel.ordered_successors(t, state) == dag.ordered_successors(
+                    t, state
+                )
+
+    @pytest.mark.parametrize("trimmed", [False, True])
+    @pytest.mark.parametrize("n", [0, 1, 5, 9])
+    def test_integer_pass_matches_set_oracle(self, trimmed, n, rng):
+        """The kernel's own pass, built without the DAG, against the
+        independent set-based unrolling — for NFAs and for plan products
+        (against the DAG of the product's materialized NFA)."""
+        from repro.core.plan import Product, lower_plan
+
+        for _ in range(4):
+            a = random_nfa(rng.randrange(1, 7), density=1.5, rng=rng).without_epsilon()
+            b = random_nfa(rng.randrange(1, 5), density=1.3, rng=rng).without_epsilon()
+            self._assert_same_structure(
+                compile_nfa(a, n, trimmed), UnrolledDAG(a, n, trimmed)
+            )
+            product = Product(a, b)
+            self._assert_same_structure(
+                lower_plan(product, n, trimmed),
+                UnrolledDAG(product.to_nfa(), n, trimmed),
+            )
+
+    @pytest.mark.parametrize("trimmed", [False, True])
+    def test_integer_pass_on_empty_language(self, trimmed):
+        empty = NFA.empty_language("ab")
+        for n in (0, 3):
+            kernel = compile_nfa(empty, n, trimmed)
+            self._assert_same_structure(kernel, UnrolledDAG(empty, n, trimmed))
+            assert kernel.is_empty and kernel.total_runs == 0
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_extend_to_matches_fresh_compile(self, n, rng):
+        """A reachable kernel grown by extend_to is snapshot-identical to
+        a fresh compile at the final length (NFA and plan sources)."""
+        from repro.core.plan import Product, lower_plan
+        from repro.service.snapshot import kernel_to_bytes
+
+        for _ in range(4):
+            a = random_nfa(rng.randrange(1, 7), density=1.5, rng=rng).without_epsilon()
+            b = random_nfa(rng.randrange(1, 5), density=1.3, rng=rng).without_epsilon()
+            grown = compile_nfa(a, n, trimmed=False)
+            grown.forward_counts()  # extension appends forward rows too
+            grown.extend_to(n + 3)
+            fresh = compile_nfa(a, n + 3, trimmed=False)
+            fresh.forward_counts()
+            assert kernel_to_bytes(grown) == kernel_to_bytes(fresh)
+            self._assert_same_structure(grown, UnrolledDAG(a, n + 3, False))
+            grown_plan = lower_plan(Product(a, b), n, trimmed=False).extend_to(n + 3)
+            fresh_plan = compile_nfa(Product(a, b).to_nfa(), n + 3, trimmed=False)
+            assert grown_plan.layers == fresh_plan.layers
+            assert grown_plan.total_runs == fresh_plan.total_runs
+            for t in range(n + 3):
+                for state in fresh_plan.layer(t):
+                    assert grown_plan.ordered_successors(
+                        t, state
+                    ) == fresh_plan.ordered_successors(t, state)
 
     def test_index_maps_are_repr_ordered(self, even_zeros_dfa):
         kernel = compile_nfa(even_zeros_dfa, 4)

@@ -186,6 +186,23 @@ class TestLowering:
         assert trimmed.lowering.explored_states <= trimmed.lowering.reached_states
         assert reachable.lowering.explored_states <= reachable.lowering.reached_states
 
+    @pytest.mark.parametrize("n", [0, 3, 6])
+    def test_shared_memo_leaves_lowering_stats_unchanged(self, n):
+        """The reachable lowering after the trimmed one, through the
+        facade's shared memo, reports what a fresh lowering reports."""
+        ws = WitnessSet.from_intersection("(ab|ba)*b", "(a|b)*", n)
+        ws.kernel  # the trimmed lowering fills the shared memo first
+        shared = ws.reachable_kernel.lowering
+        fresh = lower_plan(ws.plan, n, trimmed=False).lowering
+        assert ws.reachable_kernel.nfa.adjacency is ws.kernel.nfa.adjacency
+        for field in ("explored_states", "reached_states", "explored_edges"):
+            assert getattr(shared, field) == getattr(fresh, field)
+        assert shared == fresh
+        # A memo filled by a longer lowering never inflates a shorter one.
+        memo: dict = {}
+        lower_plan(ws.plan, n + 4, trimmed=False, adjacency=memo)
+        assert lower_plan(ws.plan, n, False, adjacency=memo).lowering == fresh
+
     def test_direct_constructors_reject_foreign_plan_kernel(self):
         from repro.baselines.montecarlo import uniform_run_sampler
         from repro.core.fpras import FprasState

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.automata.nfa import NFA, word
-from repro.automata.operations import words_of_length
+from repro.automata.operations import intersection, words_of_length
 from repro.automata.random_gen import ambiguity_blowup, random_nfa, random_ufa
 from repro.automata.unambiguous import (
     ambiguity_counts,
@@ -13,6 +13,7 @@ from repro.automata.unambiguous import (
     is_unambiguous,
     require_unambiguous,
 )
+from repro.core.plan import Product
 from repro.errors import AmbiguityError
 
 
@@ -68,6 +69,22 @@ class TestIsUnambiguous:
                 for w in words_of_length(nfa, n)
             )
             assert claimed == truly
+        # Plan sources: the lazy Product against per-word run counts of
+        # the eager intersection (whose runs are the product's runs).
+        verdicts = set()
+        for _ in range(15):
+            left = random_nfa(4, density=1.3, rng=rng)
+            right = random_nfa(3, density=1.2, rng=rng)
+            eager = intersection(left, right)
+            claimed = is_unambiguous(Product(left, right))
+            truly = all(
+                eager.count_accepting_runs(w) == 1
+                for n in range(9)
+                for w in words_of_length(eager, n)
+            )
+            assert claimed == truly
+            verdicts.add(claimed)
+        assert verdicts == {True, False}  # both outcomes were exercised
 
     def test_random_ufa_generator_delivers(self, rng):
         for _ in range(10):
