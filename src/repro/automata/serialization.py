@@ -4,9 +4,10 @@ A library users adopt needs its objects to survive a process boundary.
 This module provides:
 
 * :func:`nfa_to_json` / :func:`nfa_from_json` — a stable, versioned JSON
-  encoding of NFAs (:func:`nfa_from_document` decodes the parsed object) (states and symbols must be JSON-representable:
+  encoding of NFAs (states and symbols must be JSON-representable:
   strings, numbers, booleans, or nested lists/tuples thereof; tuples are
   encoded as tagged lists so round-trips are exact);
+  :func:`nfa_from_document` decodes an already parsed JSON object;
 * :func:`nfa_to_dot` — Graphviz DOT text for automata (initial state
   marked with an entry arrow, finals double-circled);
 * :func:`unrolled_dag_to_dot` — the layered ``N_unroll`` view, which is

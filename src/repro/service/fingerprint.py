@@ -24,6 +24,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Callable, Iterable
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any
 
 from repro.automata.nfa import EPSILON, NFA
@@ -49,7 +52,7 @@ def _canon_atom(value: Any) -> Any:
         return ["t", [_canon_atom(item) for item in value]]
     if isinstance(value, (frozenset, set)):
         encoded = [_canon_atom(item) for item in value]
-        encoded.sort(key=lambda item: json.dumps(item, sort_keys=True))
+        encoded.sort(key=_sort_key)
         return ["s", encoded]
     if isinstance(value, bool):
         return ["b", value]
@@ -61,62 +64,98 @@ def _canon_atom(value: Any) -> Any:
     )
 
 
-def _sort_key(item: Any) -> str:
-    return json.dumps(item, sort_keys=True)
+# Prebuilt encoders: ``json.dumps`` builds one per call.  Canonical
+# structures hold no cycles, so the circular-reference check is skipped.
+#: ``json.dumps(item, sort_keys=True)``: the order of every sorted set.
+_sort_key = json.JSONEncoder(sort_keys=True, check_circular=False).encode
+#: The compact text :func:`fingerprint_source` hashes.
+_canonical_text = json.JSONEncoder(
+    sort_keys=True, ensure_ascii=False, separators=(",", ":"), check_circular=False
+).encode
+
+
+def _atom_keys() -> Callable[[Any], tuple[str, Any]]:
+    """``value → (sort key, canonical atom)``, computed once per distinct
+    int or str value (an automaton names each state in many transitions).
+
+    Only exact ints and strs are memoized: ``1``, ``1.0`` and ``True``
+    are equal dict keys but canonicalize differently.
+    """
+    memo: dict[int | str, tuple[str, Any]] = {}
+
+    def keyed(value: Any) -> tuple[str, Any]:
+        if type(value) is int or type(value) is str:
+            hit = memo.get(value)
+            if hit is None:
+                # What _sort_key(["a", value]) returns, without the encoder.
+                if type(value) is int:
+                    text = str(value)
+                else:
+                    text = encode_basestring_ascii(value)
+                hit = memo[value] = (f'["a", {text}]', ["a", value])
+            return hit
+        canon = _canon_atom(value)
+        return _sort_key(canon), canon
+
+    return keyed
+
+
+def _sorted_atoms(
+    values: Iterable[Any], keyed: Callable[[Any], tuple[str, Any]]
+) -> list[Any]:
+    """Canonical atoms of ``values``, sorted by their JSON text."""
+    return [canon for _, canon in sorted(map(keyed, values), key=itemgetter(0))]
+
+
+def _sorted_triples(
+    triples: Iterable[tuple[Any, Any, Any]], keyed: Callable[[Any], tuple[str, Any]]
+) -> list[Any]:
+    """Canonical ``[atom, atom, atom]`` rows, sorted by their JSON text.
+
+    A list's JSON text is its items' texts joined by ``", "`` inside
+    brackets, so a row's sort key is assembled from its atoms' keys.
+    """
+    rows: list[tuple[str, list[Any]]] = []
+    for a, b, c in triples:
+        key_a, canon_a = keyed(a)
+        key_b, canon_b = keyed(b)
+        key_c, canon_c = keyed(c)
+        rows.append((f"[{key_a}, {key_b}, {key_c}]", [canon_a, canon_b, canon_c]))
+    rows.sort(key=itemgetter(0))
+    return [canon for _, canon in rows]
 
 
 def _canon_nfa(nfa: NFA) -> list[Any]:
+    keyed = _atom_keys()
     return [
         "nfa",
-        sorted((_canon_atom(state) for state in nfa.states), key=_sort_key),
-        sorted((_canon_atom(symbol) for symbol in nfa.alphabet), key=_sort_key),
+        _sorted_atoms(nfa.states, keyed),
+        _sorted_atoms(nfa.alphabet, keyed),
         _canon_atom(nfa.initial),
-        sorted((_canon_atom(state) for state in nfa.finals), key=_sort_key),
-        sorted(
-            (
-                [_canon_atom(source), _canon_atom(symbol), _canon_atom(target)]
-                for source, symbol, target in nfa.transitions
-            ),
-            key=_sort_key,
-        ),
+        _sorted_atoms(nfa.finals, keyed),
+        _sorted_triples(nfa.transitions, keyed),
     ]
 
 
 def _canon_graph(graph: GraphDatabase) -> list[Any]:
+    keyed = _atom_keys()
     return [
         "graph",
-        sorted((_canon_atom(vertex) for vertex in graph.vertices), key=_sort_key),
-        sorted(
-            (
-                [_canon_atom(u), _canon_atom(label), _canon_atom(v)]
-                for u, label, v in graph.edges
-            ),
-            key=_sort_key,
-        ),
+        _sorted_atoms(graph.vertices, keyed),
+        _sorted_triples(graph.edges, keyed),
     ]
 
 
 def _canon_eva(eva: EVA) -> list[Any]:
+    keyed = _atom_keys()
     return [
         "eva",
-        sorted((_canon_atom(state) for state in eva.states), key=_sort_key),
+        _sorted_atoms(eva.states, keyed),
         _canon_atom(eva.initial),
-        sorted((_canon_atom(state) for state in eva.finals), key=_sort_key),
-        sorted(
-            (
-                [_canon_atom(t.source), _canon_atom(t.symbol), _canon_atom(t.target)]
-                for t in eva.letter
-            ),
-            key=_sort_key,
-        ),
-        sorted(
-            (
-                [_canon_atom(t.source), _canon_atom(t.markers), _canon_atom(t.target)]
-                for t in eva.variable
-            ),
-            key=_sort_key,
-        ),
-        sorted((_canon_atom(variable) for variable in eva.variables), key=_sort_key),
+        _sorted_atoms(eva.finals, keyed),
+        _sorted_triples(((t.source, t.symbol, t.target) for t in eva.letter), keyed),
+        _sorted_triples(((t.source, t.markers, t.target) for t in eva.variable), keyed),
+        _sorted_atoms(eva.variables, keyed),
     ]
 
 
@@ -190,7 +229,7 @@ def fingerprint_source(source: NFA | Plan) -> str:
     any semantic difference in the canonical structure changes it.
     """
     canonical = ["repro.fingerprint", FINGERPRINT_VERSION, canonical_source(source)]
-    text = json.dumps(canonical, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+    text = _canonical_text(canonical)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

@@ -178,7 +178,7 @@ def _decode_count_row(
     entry: dict[str, Any], payload: memoryview, offset: int, borrow: bool = False
 ) -> tuple[CountRow, int]:
     if "spill" in entry:
-        return list(entry["spill"]), offset
+        return entry["spill"], offset
     count = entry["packed"]
     row = array("q")
     end = offset + count * row.itemsize
@@ -271,6 +271,10 @@ def kernel_from_bytes(
     """Restore a :class:`~repro.core.kernel.CompiledDAG` from snapshot
     bytes (inverse of :func:`kernel_to_bytes`).
 
+    As in a compiled kernel, a layer equal to the one before it shares
+    its state tuple and index map, and a repeated layer pair shares its
+    CSR arrays; the payload of such a block is skipped, not read.
+
     With ``borrow=True`` the restored kernel *borrows* its CSR edge
     blocks and packed count rows as int64 memoryviews over ``data``
     instead of copying them out — the caller keeps ``data`` (typically
@@ -289,7 +293,8 @@ def kernel_from_bytes(
     try:
         (header_len,) = struct.unpack_from("<I", view, len(MAGIC))
         header_start = len(MAGIC) + 4
-        header = json.loads(bytes(view[header_start : header_start + header_len]))
+        header_text = str(view[header_start : header_start + header_len], "utf-8")
+        header = json.loads(header_text)
     except (struct.error, ValueError) as error:
         raise SnapshotError(f"corrupt snapshot header: {error}") from error
     version = header.get("version")
@@ -301,7 +306,12 @@ def kernel_from_bytes(
     try:
         n = header["n"]
         symbols = _decode_atoms(header["symbols"])
-        states = [_decode_atoms(layer) for layer in header["states"]]
+        # A layer equal to the one before it (layers settle after a few
+        # steps) shares its tuple and, below, its index map.
+        states: list[tuple[Any, ...]] = []
+        for encoded in header["states"]:
+            layer = _decode_atoms(encoded)
+            states.append(states[-1] if states and layer == states[-1] else layer)
         offset = header_start + header_len
         if version >= 2:
             offset += (-offset) % _ALIGN
@@ -319,7 +329,7 @@ def kernel_from_bytes(
                 offset = end
                 borrowed_any = True
                 return chunk
-            payload = bytes(view[offset:end])
+            payload = view[offset:end]
             offset = end
             # Snapshots store 'q' (8-byte) rows; on LP64 platforms 'l'
             # has the same layout, so the bytes load directly.
@@ -330,10 +340,19 @@ def kernel_from_bytes(
         edge_start: list[array[int] | memoryview[int]] = []
         edge_symbol: list[array[int] | memoryview[int]] = []
         edge_dst: list[array[int] | memoryview[int]] = []
-        for entry in header["edges"]:
-            edge_start.append(read_long_row(entry["start"]))
-            edge_symbol.append(read_long_row(entry["symbol"]))
-            edge_dst.append(read_long_row(entry["dst"]))
+        for t, entry in enumerate(header["edges"]):
+            counts = (entry["start"], entry["symbol"], entry["dst"])
+            if t and states[t] is states[t - 1] and states[t + 1] is states[t]:
+                # The layer pair of the block before, so the same CSR
+                # block: share its arrays, as a compiled kernel does.
+                offset += sum(counts) * itemsize
+                edge_start.append(edge_start[-1])
+                edge_symbol.append(edge_symbol[-1])
+                edge_dst.append(edge_dst[-1])
+                continue
+            edge_start.append(read_long_row(counts[0]))
+            edge_symbol.append(read_long_row(counts[1]))
+            edge_dst.append(read_long_row(counts[2]))
 
         def read_table(entries: list[dict[str, Any]] | None) -> list[CountRow] | None:
             nonlocal offset, borrowed_any
@@ -366,11 +385,13 @@ def kernel_from_bytes(
         raise SnapshotError("snapshot layer structure does not match n")
 
     initial = states[0][initial_index] if initial_index is not None else None
-    finals_union = frozenset(
-        states[t][i] for t, row in finals_idx.items() for i in row
-    )
+    finals_union: set[Any] = set()
+    for t, row in finals_idx.items():
+        # A layer shared with the one before has the same final states.
+        if not (t and states[t] is states[t - 1]):
+            finals_union.update(map(states[t].__getitem__, row))
     source = _SnapshotSource(
-        initial, finals_union, frozenset(symbols), resolver=source_resolver
+        initial, frozenset(finals_union), frozenset(symbols), resolver=source_resolver
     )
 
     kernel = CompiledDAG.__new__(CompiledDAG)
@@ -380,9 +401,13 @@ def kernel_from_bytes(
     kernel.symbols = symbols
     kernel._symbol_index = {s: i for i, s in enumerate(symbols)}
     kernel._states = states
-    kernel._index = [
-        {state: i for i, state in enumerate(layer)} for layer in states
-    ]
+    kernel._index = []
+    for t, layer in enumerate(states):
+        kernel._index.append(
+            kernel._index[-1]
+            if t and layer is states[t - 1]
+            else dict(zip(layer, range(len(layer))))
+        )
     kernel._edge_start = edge_start
     kernel._edge_symbol = edge_symbol
     kernel._edge_dst = edge_dst

@@ -32,33 +32,6 @@ FAST = FprasParameters(sample_size=48)
 class TestStructureMatchesUnrolledDAG:
     """The kernel's adapter views reproduce the seed set-based DAG exactly."""
 
-    @pytest.mark.parametrize("trimmed", [False, True])
-    def test_random_nfas(self, trimmed, rng):
-        for _ in range(4):
-            nfa = random_nfa(
-                6, density=1.5, rng=rng, ensure_nonempty_length=5
-            ).without_epsilon()
-            dag = (unroll_trimmed if trimmed else unroll)(nfa, 5)
-            kernel = as_kernel(dag)
-            assert kernel.layers == list(dag.layers)
-            assert kernel.final_states == dag.final_states
-            assert kernel.is_empty == dag.is_empty
-            assert kernel.vertex_count() == dag.vertex_count()
-            assert kernel.edge_count() == dag.edge_count()
-            for t in range(5):
-                for state in dag.layer(t):
-                    assert kernel.ordered_successors(t, state) == dag.ordered_successors(
-                        t, state
-                    )
-            for t in range(1, 6):
-                layer = dag.layer(t)
-                assert kernel.predecessor_sets(t, layer) == dag.predecessor_sets(t, layer)
-                for state in layer:
-                    for symbol in nfa.alphabet:
-                        assert kernel.predecessors(t, state, symbol) == dag.predecessors(
-                            t, state, symbol
-                        )
-
     @staticmethod
     def _assert_same_structure(kernel, dag):
         """Layers, finals and every live vertex's ordered edges agree."""
@@ -77,24 +50,39 @@ class TestStructureMatchesUnrolledDAG:
                 )
 
     @pytest.mark.parametrize("trimmed", [False, True])
-    @pytest.mark.parametrize("n", [0, 1, 5, 9])
-    def test_integer_pass_matches_set_oracle(self, trimmed, n, rng):
+    def test_random_nfas(self, trimmed, rng):
         """The kernel's own pass, built without the DAG, against the
         independent set-based unrolling — for NFAs and for plan products
         (against the DAG of the product's materialized NFA)."""
         from repro.core.plan import Product, lower_plan
 
-        for _ in range(4):
-            a = random_nfa(rng.randrange(1, 7), density=1.5, rng=rng).without_epsilon()
-            b = random_nfa(rng.randrange(1, 5), density=1.3, rng=rng).without_epsilon()
-            self._assert_same_structure(
-                compile_nfa(a, n, trimmed), UnrolledDAG(a, n, trimmed)
-            )
-            product = Product(a, b)
-            self._assert_same_structure(
-                lower_plan(product, n, trimmed),
-                UnrolledDAG(product.to_nfa(), n, trimmed),
-            )
+        for n in (0, 1, 5, 9):
+            for _ in range(4):
+                nfa = random_nfa(
+                    6, density=1.5, rng=rng, ensure_nonempty_length=5
+                ).without_epsilon()
+                dag = (unroll_trimmed if trimmed else unroll)(nfa, n)
+                kernel = compile_nfa(nfa, n, trimmed)
+                self._assert_same_structure(kernel, dag)
+                assert as_kernel(dag).layers == kernel.layers
+                for t in range(1, n + 1):
+                    layer = dag.layer(t)
+                    assert kernel.predecessor_sets(t, layer) == dag.predecessor_sets(
+                        t, layer
+                    )
+                    for state in layer:
+                        for symbol in nfa.alphabet:
+                            assert kernel.predecessors(
+                                t, state, symbol
+                            ) == dag.predecessors(t, state, symbol)
+                other = random_nfa(
+                    rng.randrange(1, 5), density=1.3, rng=rng
+                ).without_epsilon()
+                product = Product(nfa, other)
+                self._assert_same_structure(
+                    lower_plan(product, n, trimmed),
+                    UnrolledDAG(product.to_nfa(), n, trimmed),
+                )
 
     @pytest.mark.parametrize("trimmed", [False, True])
     def test_integer_pass_on_empty_language(self, trimmed):

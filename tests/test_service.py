@@ -102,6 +102,54 @@ class TestFingerprint:
         with pytest.raises(FingerprintError):
             fingerprint_source(nfa)
 
+    def test_matches_reference_encoding(self):
+        """The memoized sort keys order every set exactly as sorting by
+        ``json.dumps(item, sort_keys=True)`` does, for every atom kind —
+        including ``1`` / ``True`` / ``1.0``, which are equal as dict keys
+        but canonicalize differently."""
+        import hashlib
+
+        from repro.service.fingerprint import _canon_atom
+
+        def reference(nfa):
+            def key(item):
+                return json.dumps(item, sort_keys=True)
+
+            def atoms(values):
+                return sorted(map(_canon_atom, values), key=key)
+
+            canonical = [
+                "nfa",
+                atoms(nfa.states),
+                atoms(nfa.alphabet),
+                _canon_atom(nfa.initial),
+                atoms(nfa.finals),
+                sorted(
+                    (list(map(_canon_atom, row)) for row in nfa.transitions), key=key
+                ),
+            ]
+            text = json.dumps(
+                ["repro.fingerprint", 1, canonical],
+                sort_keys=True,
+                ensure_ascii=False,
+                separators=(",", ":"),
+            )
+            return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+        rng = random.Random(SEED)
+        pool = [0, 1, True, 1.0, -3, 10**30, "1", "a", "é", "q\"\\", "\n", None,
+                (1, "a"), (True,), (1,), frozenset({1, "x"}), ("a", ("b", 2))]
+        for _ in range(200):
+            states = rng.sample(pool, rng.randint(1, 7))
+            symbols = rng.sample(["a", "b", 0, True, (1, 2), "é"], rng.randint(1, 3))
+            transitions = {
+                (rng.choice(states), rng.choice(symbols), rng.choice(states))
+                for _ in range(rng.randint(0, 10))
+            }
+            finals = rng.sample(states, rng.randint(0, len(states)))
+            nfa = NFA(states, symbols, transitions, states[0], finals)
+            assert fingerprint_source(nfa) == reference(nfa)
+
     def test_stable_across_hash_seeds(self):
         """The store contract: the fingerprint must not depend on the
         process's hash randomization."""
@@ -202,6 +250,46 @@ class TestSnapshotRoundTrip:
             assert [kernel.sample_word(a) for _ in range(5)] == [
                 restored.sample_word(b) for _ in range(5)
             ]
+
+    @pytest.mark.parametrize("trimmed", [False, True])
+    def test_repeated_layers_restore_shared(self, trimmed):
+        """Equal consecutive layers restore as one tuple and index map and
+        a repeated layer pair as one set of CSR arrays; the restored
+        kernel re-serializes to the same bytes."""
+        shared_blocks = 0
+        sources = [
+            random_ufa(12, rng=SEED + seed, completeness=0.9).without_epsilon()
+            for seed in range(6)
+        ] + [
+            random_nfa(7, rng=SEED + seed, density=1.4).without_epsilon()
+            for seed in range(6)
+        ] + [
+            WitnessSet.from_regex("(ab|ba)*(a|bb)", 1, alphabet="ab").stripped,
+            # Trimmed: layers {p} … {p}, {q}, {f}.  The blocks {p}→{p} and
+            # {p}→{q} have the same sizes but not the same edges.
+            NFA("pqf", "ab", [("p", "a", "p"), ("p", "b", "q"), ("q", "a", "f")], "p", "f"),
+        ]
+        for nfa in sources:
+            kernel = compile_nfa(nfa, 20, trimmed)
+            kernel.backward_counts()
+            data = kernel_to_bytes(kernel)
+            restored = kernel_from_bytes(data)
+            assert kernel_to_bytes(restored) == data
+            assert restored.nfa.finals == {
+                kernel.layer_states(t)[i]
+                for t in range(21)
+                for i in kernel.final_indices(t)
+            }
+            for t in range(1, 21):
+                same = restored._states[t] == restored._states[t - 1]
+                assert (restored._states[t] is restored._states[t - 1]) == same
+                assert (restored._index[t] is restored._index[t - 1]) == same
+            for t in range(1, 20):
+                if restored._edge_dst[t] is restored._edge_dst[t - 1]:
+                    shared_blocks += 1
+                    assert restored._edge_start[t] is restored._edge_start[t - 1]
+                    assert restored._states[t + 1] is restored._states[t - 1]
+        assert shared_blocks > 0
 
     def test_bad_magic_rejected(self):
         with pytest.raises(SnapshotError):
@@ -391,9 +479,10 @@ class TestWitnessSetStoreWiring:
         assert warm.sample_batch(5, rng=3, use_substreams=True) == samples
         assert store.stats.hits >= 1
         # The warm set never unrolled or lowered anything: its kernel
-        # came from the snapshot, so the dag/stripped artifacts were
-        # never built.
-        assert "dag" not in warm._cache and "stripped" not in warm._cache
+        # came from the snapshot (only a compiled kernel records its
+        # unrolling pass), and the stripped automaton was never built.
+        assert warm.kernel.exploration is None
+        assert "stripped" not in warm._cache
 
     def test_ambiguity_certificate_persisted(self, store):
         nfa = random_ufa(20, rng=SEED, completeness=0.9, ensure_nonempty_length=10)
