@@ -4,18 +4,33 @@ Claim: after polynomial preprocessing, the inter-output delay is bounded
 by c·|y| — in particular *independent of the automaton size m*.  We sweep
 m, enumerate a fixed number of outputs at fixed n, and record the mean
 per-output delay normalized by n; the series should be flat in m.
+
+The n-sweep on ``(a|b)*`` gates the incremental walk: each output
+re-walks only the suffix below its advanced decision point (about two
+layers on average), so the mean delay grows far slower than n.  A walker
+that replays every word from the start vertex grows with n itself.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.automata.regex import compile_regex
 from repro.core.enumeration import enumerate_words_ufa
 from repro.utils.timing import DelayRecorder
 from workloads import ufa_sweep
 
 N = 16
 OUTPUTS = 2000
+
+SWEEP_NS = (16, 64, 256)
+SWEEP_OUTPUTS = 20000
+SWEEP_ROUNDS = 3
+#: Gate on mean delay at n=256 ÷ mean at n=16.  Measured on a 2-core
+#: x86-64 Linux box (CPython 3.11), best of 3 rounds: 2.5–3.9x for the
+#: incremental walk (13 runs), 8.2–18.0x for full replay from the start
+#: vertex (7 runs).
+MAX_DELAY_RATIO = 6.0
 
 
 @pytest.mark.parametrize("m,ufa", ufa_sweep(), ids=lambda v: str(v) if isinstance(v, int) else "")
@@ -38,3 +53,31 @@ def test_constant_delay_enum(benchmark, observe, m, ufa):
             f"mean-delay={mean_us:7.2f}µs max={max_us:8.2f}µs per-output",
         )
     assert produced > 0
+
+
+def test_mean_delay_sublinear_in_n(observe):
+    """Steady-state delay on ``(a|b)*`` at n ∈ {16, 64, 256}: the mean
+    at n=256 stays within MAX_DELAY_RATIO of the mean at n=16."""
+    ufa = compile_regex("(a|b)*", alphabet="ab")
+    means = {}
+    for n in SWEEP_NS:
+        best_mean = best_max = float("inf")
+        for _ in range(SWEEP_ROUNDS):
+            recorder = DelayRecorder(keep_items=False)
+            recorder.drain(enumerate_words_ufa(ufa, n, check=False), limit=SWEEP_OUTPUTS)
+            steady = recorder.delays[1:]  # the first delay holds preprocessing
+            mean = sum(steady) / len(steady)
+            if mean < best_mean:
+                best_mean, best_max = mean, max(steady)
+        means[n] = best_mean
+        observe(
+            "E1",
+            f"(a|b)* n={n:<4} outputs={SWEEP_OUTPUTS} "
+            f"mean-delay={1e6 * best_mean:7.2f}µs max={1e6 * best_max:8.2f}µs per-output",
+        )
+    ratio = means[SWEEP_NS[-1]] / means[SWEEP_NS[0]]
+    observe("E1", f"mean delay n={SWEEP_NS[-1]} ÷ n={SWEEP_NS[0]}: {ratio:.2f}x")
+    assert ratio <= MAX_DELAY_RATIO, (
+        f"mean delay grew {ratio:.1f}x from n={SWEEP_NS[0]} to n={SWEEP_NS[-1]} "
+        f"(gate {MAX_DELAY_RATIO}x): is every output replayed from the start?"
+    )

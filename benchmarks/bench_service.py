@@ -121,7 +121,8 @@ def test_warm_store_start_beats_cold(observe):
 
 def test_warm_start_skips_all_preprocessing(observe):
     """Zero lowering work on the warm path: the facade never builds the
-    stripped automaton, the unrolled DAG, or the self-product check."""
+    stripped automaton, and its kernel is the restored snapshot (only a
+    compiled kernel records its lowering pass in ``exploration``)."""
     nfa = _instance(SEED + 1)
     root = tempfile.mkdtemp(prefix="repro-bench-store-")
     try:
@@ -130,8 +131,11 @@ def test_warm_start_skips_all_preprocessing(observe):
         warm_ws.count()
         warm_ws.sample_batch(10, rng=1, use_substreams=True)
         built = set(warm_ws._cache)
-        assert "stripped" not in built and "dag" not in built, (
+        assert "stripped" not in built, (
             f"warm path built preprocessing artifacts: {sorted(built)}"
+        )
+        assert warm_ws.kernel.exploration is None, (
+            "warm path compiled its kernel instead of restoring it"
         )
         observe("S1a", f"warm-path artifacts built: {sorted(built)}")
     finally:

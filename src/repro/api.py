@@ -53,6 +53,7 @@ O(1) after the first query on a given automaton.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import random
@@ -385,12 +386,17 @@ class WitnessSet:
 
     def _source_resolver(self):
         """Zero-argument resolver a snapshot-restored kernel uses to reach
-        the original transitions (only if it is later extended)."""
+        the original transitions (only if it is later extended).
+
+        It captures the source, never ``self``: the set's cache holds the
+        restored kernel, so a resolver holding the set would keep an
+        evicted set alive until a cyclic GC pass."""
         if self.plan is not None:
             from repro.core.plan import _MemoSource
 
-            return lambda: _MemoSource(self.plan, self._plan_adjacency)
-        return lambda: self.stripped
+            return functools.partial(_MemoSource, self.plan, self._plan_adjacency)
+        nfa = self.nfa
+        return lambda: nfa.without_epsilon().trim()
 
     def _build_kernel(self, trimmed: bool) -> CompiledDAG:
         """The cold path: lower the plan / compile the automaton."""

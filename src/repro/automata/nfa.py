@@ -64,7 +64,7 @@ def word(text: Iterable[Symbol]) -> Word:
 
 def word_str(w: Word) -> str:
     """Render a word of 1-character string symbols back into a string."""
-    return "".join(str(symbol) for symbol in w)
+    return "".join(map(str, w))
 
 
 class NFA:

@@ -6,10 +6,12 @@ Two enumerators, matching the two halves of the paper:
   polynomial preprocessing (building the Lemma 15 pruned DAG), outputs
   arrive with delay ``O(|y|)`` independent of the input size: the
   traversal keeps a list of *decision points* (vertices where more than
-  one outgoing edge exists) and replays the stored prefix to emit the
-  next word, exactly as in the paper's pseudo-code.  Correct (duplicate-
-  free) only on unambiguous automata, because distinct DAG paths must
-  denote distinct words.
+  one outgoing edge exists), exactly as in the paper's pseudo-code, and
+  keeps the current word between outputs: the next word agrees with it
+  above the advanced decision point, so only the suffix below that
+  point is re-walked (worst case O(n), as in the paper; about two steps
+  per word on ``(a|b)*``).  Correct (duplicate-free) only on unambiguous
+  automata, because distinct DAG paths must denote distinct words.
 
 * :func:`enumerate_words_nfa` — polynomial delay for arbitrary NFAs
   (Theorem 2; the paper derives it from self-reducibility + the
@@ -27,6 +29,7 @@ delay guarantees are measured (not just asserted) in benchmarks E1/E2.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterator
 
 from repro.automata.nfa import NFA, State, Symbol, Word
@@ -57,7 +60,7 @@ def enumerate_words_ufa(nfa: NFA, n: int, check: bool = True) -> Iterator[Word]:
         prepared = require_unambiguous(nfa, context="constant-delay enumeration")
     else:
         prepared = nfa.without_epsilon()
-    return _algorithm1(compile_nfa(prepared, n, trimmed=True))
+    return _algorithm1(compile_nfa(prepared, n, trimmed=True), [])
 
 
 def enumerate_words_dag(dag: UnrolledDAG | CompiledDAG) -> Iterator[Word]:
@@ -70,68 +73,67 @@ def enumerate_words_dag(dag: UnrolledDAG | CompiledDAG) -> Iterator[Word]:
     trimmed unrolling of an unambiguous ε-free automaton, or the
     enumeration may repeat words.
     """
-    return _algorithm1(as_kernel(dag))
+    return _algorithm1(as_kernel(dag), [])
 
 
-def _algorithm1(kernel: CompiledDAG) -> Iterator[Word]:
+def _algorithm1(kernel: CompiledDAG, decisions: list[list[int]]) -> Iterator[Word]:
     """The paper's Algorithm 1 on a Lemma-15-pruned compiled kernel.
 
-    State kept between outputs:
+    ``decisions`` is the list of ``(layer, state_idx, edge_index)``
+    decision points of the path of the next word to emit, exactly the
+    paper's ``list`` structure (append / pop / last); only vertices with
+    ≥ 2 live successors are recorded.  ``[]`` starts from the first
+    word; any other value must be a cursor checked by
+    :func:`_validated_cursor`.  The list is advanced in place *before*
+    each word is yielded, so after a yield it is always the cursor of
+    the word after it, and an empty list means the enumeration is
+    exhausted.
 
-    * ``decisions`` — the list of ``(layer, state_idx, edge_index)``
-      decision points of the current path, exactly the paper's ``list``
-      structure (append / pop / last); only vertices with ≥ 2 live
-      successors are recorded.
-
-    Each output is produced by replaying the stored decisions from the
-    start vertex (Step 3), then backtracking to the deepest decision that
-    still has an unexplored edge (Step 7) and advancing it (Step 8).
-    The kernel's CSR blocks already hold each vertex's successors in the
+    The first word replays the stored decisions from the start vertex
+    (Step 3).  After it, Steps 5–7 drop the exhausted decision points
+    and Step 8 advances the deepest remaining one, at layer ``d``; the
+    current word agrees with the next one above ``d``, so only layers
+    ``d..n-1`` are re-walked — the advanced edge at ``d``, the first
+    edge below it, recording the new decision points on the way.  The
+    kernel's CSR blocks already hold each vertex's successors in the
     fixed total order Algorithm 1 requires, so the walk is pure integer
     indexing; every visited edge lies on an accepting path (Lemma 15
-    pruning), so the work per output is O(n) — the paper's constant
-    delay.  Output order is identical to the seed set-based traversal.
+    pruning), so the worst-case work per output is still O(n) — the
+    paper's constant delay — while the amortized walk is only the
+    changed suffix.  Output order is identical to the seed set-based
+    traversal.
     """
     if kernel.is_empty:
         return
     n = kernel.n
-    if n == 0:
-        # k = 0 corner case (Section 5.2): the empty word is accepted iff
-        # the initial state is final — which pruning has already decided.
-        yield ()
-        return
-
     symbols = kernel.symbols
     edge_start = kernel._edge_start
     edge_symbol = kernel._edge_symbol
     edge_dst = kernel._edge_dst
-    start_index = kernel.index_of(0, kernel.nfa.initial)
-    if start_index is None:  # pragma: no cover - is_empty ruled this out
+    state = kernel.index_of(0, kernel.nfa.initial)
+    if state is None:  # pragma: no cover - is_empty ruled this out
         return
 
-    decisions: list[list[int]] = []  # [layer, state index, edge index]
-
+    # With n = 0 (Section 5.2's k = 0 case) no layer is walked and the
+    # empty word is emitted once: pruning already decided it is accepted.
+    word_out: list[Symbol] = [None] * n
+    layer = 0
+    replay = 0  # decisions[:replay] lie on the walk so far
     while True:
-        # Step 3: walk from the start, replaying stored decisions and taking
-        # the first edge everywhere else; record new decision points.
-        word_out: list[Symbol] = []
-        state = start_index
-        replay = 0
-        for t in range(n):
+        # Step 3: walk layers layer..n-1, replaying stored decisions and
+        # taking the first edge everywhere else; record decision points.
+        for t in range(layer, n):
             starts = edge_start[t]
             base = starts[state]
-            degree = starts[state + 1] - base
             if replay < len(decisions) and decisions[replay][0] == t:
-                index = decisions[replay][2]
+                base += decisions[replay][2]
                 replay += 1
-            else:
-                index = 0
-                if degree > 1:
-                    decisions.append([t, state, 0])
-                    replay = len(decisions)
-            word_out.append(symbols[edge_symbol[t][base + index]])
-            state = edge_dst[t][base + index]
-        yield tuple(word_out)  # Step 4
+            elif starts[state + 1] - base > 1:
+                decisions.append([t, state, 0])
+                replay = len(decisions)
+            word_out[t] = symbols[edge_symbol[t][base]]
+            state = edge_dst[t][base]
+        word = tuple(word_out)
 
         # Steps 5–7: drop exhausted decision points.
         while decisions:
@@ -141,9 +143,14 @@ def _algorithm1(kernel: CompiledDAG) -> Iterator[Word]:
                 break
             decisions.pop()
         if not decisions:
-            return  # Step 6: STOP
-        # Step 8: advance the deepest non-exhausted decision.
-        decisions[-1][2] += 1
+            yield word  # Step 4 for the last word; Step 6: STOP
+            return
+        # Step 8: advance the deepest non-exhausted decision, then emit.
+        decision = decisions[-1]
+        decision[2] += 1
+        yield word  # Step 4
+        layer, state = decision[0], decision[1]
+        replay = len(decisions) - 1
 
 
 def algorithm1_page(
@@ -154,8 +161,10 @@ def algorithm1_page(
 
     The cursor is the paper's decision-point list itself — the
     ``[layer, state_index, edge_index]`` triples describing the path of
-    the *next* word to emit — so resuming costs one O(n) replay, never a
-    re-walk of the ``offset`` words already served.  ``cursor=None``
+    the *next* word to emit — so resuming costs one O(n) replay from the
+    start vertex, never a re-walk of the ``offset`` words already
+    served; within the page each further word re-walks only the suffix
+    below its advanced decision point (worst case O(n)).  ``cursor=None``
     starts from the beginning; a returned cursor of ``None`` means the
     enumeration is exhausted.  Cursors are plain JSON-able integer lists
     (the service's paging protocol ships them to clients verbatim), and a
@@ -168,54 +177,12 @@ def algorithm1_page(
     """
     if count < 0:
         raise ValueError("page size must be ≥ 0")
-    words: list[Word] = []
     if kernel.is_empty:
-        return words, None
-    n = kernel.n
-    if n == 0:
-        # Only the empty word exists; an empty cursor (or none) is the
-        # start, anything else is stale.
-        if cursor not in (None, []):
-            raise ValueError("invalid enumeration cursor")
-        if count:
-            return [()], None
-        return words, []
+        return [], None
     decisions = _validated_cursor(kernel, cursor)
-    symbols = kernel.symbols
-    edge_start = kernel._edge_start
-    edge_symbol = kernel._edge_symbol
-    edge_dst = kernel._edge_dst
-    start_index = kernel.index_of(0, kernel.nfa.initial)
-    if start_index is None:  # pragma: no cover - is_empty ruled this out
+    words = list(itertools.islice(_algorithm1(kernel, decisions), count))
+    if words and not decisions:
         return words, None
-    while len(words) < count:
-        word_out: list[Symbol] = []
-        state = start_index
-        replay = 0
-        for t in range(n):
-            starts = edge_start[t]
-            base = starts[state]
-            degree = starts[state + 1] - base
-            if replay < len(decisions) and decisions[replay][0] == t:
-                index = decisions[replay][2]
-                replay += 1
-            else:
-                index = 0
-                if degree > 1:
-                    decisions.append([t, state, 0])
-                    replay = len(decisions)
-            word_out.append(symbols[edge_symbol[t][base + index]])
-            state = edge_dst[t][base + index]
-        words.append(tuple(word_out))
-        while decisions:
-            t, vertex, index = decisions[-1]
-            starts = edge_start[t]
-            if index + 1 < starts[vertex + 1] - starts[vertex]:
-                break
-            decisions.pop()
-        if not decisions:
-            return words, None
-        decisions[-1][2] += 1
     return words, decisions
 
 

@@ -61,6 +61,7 @@ from typing import TYPE_CHECKING, Any, Generator
 
 from repro import obs
 from repro.errors import ReproError
+from repro.graphdb.rpq import Path
 from repro.obs import names as metric_names
 from repro.utils.rng import make_rng, substreams
 
@@ -210,10 +211,21 @@ def witness_set_from_spec(
 
 
 def render_witness(witness: object) -> str:
-    """One witness as a display string (the CLI's rendering)."""
-    from repro.cli import _format_witness
+    """One witness as a display string (shared by the CLI and the server).
 
-    return _format_witness(witness)
+    A word renders as its symbols' ``str`` forms concatenated, a
+    :class:`~repro.graphdb.rpq.Path` as its label word followed by its
+    vertices, anything else as its ``str``.
+    """
+    if isinstance(witness, tuple):
+        if set(map(type, witness)) <= {str}:
+            return "".join(witness)  # str() is the identity on exact strs
+        return "".join(map(str, witness))
+    if isinstance(witness, Path):
+        labels = "".join(map(str, witness.label_word))
+        hops = " → ".join(map(str, witness.vertices()))
+        return f"{labels}  ({hops})"
+    return str(witness)
 
 
 def _render_describe(facts: dict[str, Any]) -> dict[str, Any]:

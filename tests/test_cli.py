@@ -195,6 +195,31 @@ class TestDomainInputs:
         assert code == 0
         assert "→" in out
 
+    def test_rendered_output_unchanged(self, capsys, dnf_file, graph_file):
+        """``sample`` and ``enum`` print words, DNF models (int symbols)
+        and RPQ paths exactly as the two-pass renderer did."""
+        code, out, _ = run_cli(
+            capsys,
+            "sample", "--regex", "(ab|ba)*", "--alphabet", "ab",
+            "-n", "6", "--count", "3", "--seed", "5",
+        )
+        assert code == 0
+        assert out.split() == ["baabab", "abbaab", "ababba"]
+        code, out, _ = run_cli(capsys, "enum", "--dnf", dnf_file)
+        assert code == 0
+        assert out.split() == ["0001", "0011", "1001", "1010", "1011", "1110", "1111"]
+        code, out, _ = run_cli(
+            capsys,
+            "enum", "--rpq", "--graph-json", graph_file,
+            "--source", "(0, 0)", "--target", "(2, 2)",
+            "--regex", "(r|d)*", "-n", "4", "--limit", "2",
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "ddrr  ((0, 0) → (0, 1) → (0, 2) → (1, 2) → (2, 2))",
+            "drdr  ((0, 0) → (0, 1) → (1, 1) → (1, 2) → (2, 2))",
+        ]
+
     def test_rpq_missing_pieces_rejected(self, capsys, graph_file):
         with pytest.raises(SystemExit):
             main(["count", "--rpq", "--graph-json", graph_file, "-n", "4"])

@@ -2,16 +2,24 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 
 from repro.automata.nfa import NFA, word
 from repro.automata.operations import words_of_length
 from repro.automata.random_gen import ambiguity_blowup, random_nfa, random_ufa
+from repro.automata.unambiguous import is_unambiguous
 from repro.core.enumeration import (
+    algorithm1_page,
     enumerate_words,
+    enumerate_words_dag,
     enumerate_words_nfa,
     enumerate_words_ufa,
 )
+from repro.core.kernel import compile_nfa
+from repro.core.plan import Product, as_plan, lower_plan
 from repro.errors import AmbiguityError
 from repro.papers.figures import figure1_nfa
 
@@ -107,3 +115,134 @@ class TestDispatch:
             a = sorted(enumerate_words_ufa(ufa, 4))
             b = sorted(enumerate_words_nfa(ufa, 4))
             assert a == b
+
+
+def _full_replay_page(kernel, cursor, count):
+    """Reference: a page of Algorithm 1 by the full-replay walker, which
+    re-walks every word's whole path from the start vertex.  Takes only
+    cursors it produced itself (no validation)."""
+    words = []
+    if kernel.is_empty:
+        return words, None
+    decisions = [list(entry) for entry in cursor or []]
+    start = kernel.index_of(0, kernel.nfa.initial)
+    while len(words) < count:
+        word_out = []
+        state = start
+        replay = 0
+        for t in range(kernel.n):
+            starts = kernel._edge_start[t]
+            base = starts[state]
+            if replay < len(decisions) and decisions[replay][0] == t:
+                index = decisions[replay][2]
+                replay += 1
+            else:
+                index = 0
+                if starts[state + 1] - base > 1:
+                    decisions.append([t, state, 0])
+                    replay = len(decisions)
+            word_out.append(kernel.symbols[kernel._edge_symbol[t][base + index]])
+            state = kernel._edge_dst[t][base + index]
+        words.append(tuple(word_out))
+        while decisions:
+            t, vertex, index = decisions[-1]
+            starts = kernel._edge_start[t]
+            if index + 1 < starts[vertex + 1] - starts[vertex]:
+                break
+            decisions.pop()
+        if not decisions:
+            return words, None
+        decisions[-1][2] += 1
+    return words, decisions
+
+
+def _oracle_sources():
+    """Seeded unambiguous sources: random partial DFAs, random NFAs that
+    happen to be unambiguous (nondeterministic, so one symbol may branch
+    to several states), and one lazy product plan."""
+    rng = random.Random(1515)
+    sources = [
+        random_ufa(rng.randrange(2, 7), alphabet="abc", rng=rng, ensure_nonempty_length=7)
+        for _ in range(6)
+    ]
+    while len(sources) < 12:
+        nfa = random_nfa(
+            rng.randrange(4, 9), density=0.8, rng=rng, ensure_nonempty_length=7
+        ).without_epsilon().trim()
+        branching = any(
+            len(nfa.successors(q, a)) > 1 for q in nfa.states for a in nfa.alphabet
+        )
+        if branching and is_unambiguous(nfa):
+            sources.append(nfa)
+    while True:
+        product = Product(
+            as_plan(random_ufa(3, completeness=0.95, rng=rng)),
+            as_plan(random_ufa(4, completeness=0.95, rng=rng)),
+        )
+        if len(words_of_length(product.to_nfa(), 7)) >= 10:
+            return sources + [product]
+
+
+ORACLE_SOURCES = _oracle_sources()
+
+
+def _oracle_kernel(source, n):
+    if isinstance(source, Product):
+        return lower_plan(source, n, trimmed=True), source.to_nfa()
+    return compile_nfa(source, n, trimmed=True), source
+
+
+class TestPagingOracle:
+    """The incremental walker against the full-replay reference: every
+    page's words and cursor agree, whatever the page size."""
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 7])
+    def test_pages_match_full_replay(self, n):
+        for source in ORACLE_SOURCES:
+            kernel, nfa = _oracle_kernel(source, n)
+            language = words_of_length(nfa, n)
+            # Bounded, so a walker that repeats words fails instead of hanging.
+            full = list(itertools.islice(enumerate_words_dag(kernel), len(language) + 1))
+            assert len(full) == len(set(full))
+            assert sorted(full) == language
+            assert algorithm1_page(kernel, None, 0) == _full_replay_page(kernel, None, 0)
+            for size in (1, 2, 5, 1000):
+                cursor, served = None, []
+                for _ in range(len(full) + 1):
+                    page = algorithm1_page(kernel, cursor, size)
+                    assert page == _full_replay_page(kernel, cursor, size)
+                    words, cursor = page
+                    served += words
+                    if cursor is None:
+                        break
+                    # A zero-item page hands the cursor back unchanged.
+                    assert algorithm1_page(kernel, cursor, 0) == ([], cursor)
+                assert cursor is None
+                assert served == full
+
+    def test_corrupt_cursors_rejected(self):
+        checked = 0
+        for source in ORACLE_SOURCES:
+            kernel, nfa = _oracle_kernel(source, 7)
+            cursor = None
+            for _ in words_of_length(nfa, 7):
+                _, cursor = algorithm1_page(kernel, cursor, 1)
+                if not cursor:
+                    break
+                t, state, _ = cursor[-1]
+                starts = kernel._edge_start[t]
+                degree = starts[state + 1] - starts[state]
+                corrupt = [
+                    cursor[:-1] + [cursor[-1][:2]],  # truncated triple
+                    cursor[:-1] + [[t, state, degree]],  # out of degree
+                    cursor[:-1] + [[t, state, -1]],
+                    cursor + [[kernel.n, 0, 0]],  # past the last layer
+                ]
+                if len(cursor) > 1:
+                    corrupt.append(cursor[1:])  # gapped: first decision gone
+                    corrupt.append(cursor[:-2] + cursor[-1:])  # gapped middle
+                for bad in corrupt:
+                    with pytest.raises(ValueError):
+                        algorithm1_page(kernel, bad, 3)
+                checked += 1
+        assert checked > 50

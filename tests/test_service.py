@@ -3,6 +3,7 @@ store, deterministic substreams, the engine and the JSON-lines server."""
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import os
@@ -12,16 +13,18 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 
 import pytest
 
 from repro import obs
 from repro.api import WitnessSet
-from repro.automata.nfa import NFA
+from repro.automata.nfa import NFA, word_str
 from repro.automata.random_gen import random_nfa, random_ufa
 from repro.core.kernel import CompiledDAG, compile_nfa
 from repro.core.plan import Product, as_plan, lower_plan
 from repro.errors import InvalidAutomatonError
+from repro.graphdb.rpq import Path
 from repro.obs import names as metric_names
 from repro.service import (
     Engine,
@@ -39,6 +42,7 @@ from repro.service import (
     spec_key,
     witness_set_from_spec,
 )
+from repro.service.protocol import render_witness
 from repro.utils.rng import make_rng, spawn_seq, substreams
 
 SEED = 20190621
@@ -539,6 +543,37 @@ class TestWitnessSetStoreWiring:
         # Extending past the snapshot resolves the source lazily.
         assert warm.spectrum(10) == baseline.spectrum(10)
 
+    @pytest.mark.parametrize("plan_backed", [False, True], ids=["nfa", "plan"])
+    def test_restored_set_freed_without_cyclic_gc(self, store, plan_backed):
+        """A set whose kernels came from the store dies with its last
+        reference: the restored kernel's source resolver holds the source,
+        not the set, so no reference cycle waits for the cyclic GC."""
+
+        def make(store):
+            if plan_backed:
+                return WitnessSet.from_intersection("(ab|ba)*", "(a|b)*", 6, store=store)
+            return WitnessSet.from_regex("(ab|ba)*", 6, alphabet="ab", store=store)
+
+        cold = make(store)
+        cold.count()
+        cold.spectrum()
+        warm = make(store)
+        kernel = warm.reachable_kernel
+        assert kernel.exploration is None  # restored, not compiled
+        assert warm.count() == cold.count()
+        ref = weakref.ref(warm)
+        gc.disable()
+        try:
+            del warm
+            assert ref() is None
+        finally:
+            gc.enable()
+        # The live restored kernel still resolves its source to extend.
+        kernel.extend_to(10)
+        spectrum = kernel.spectrum_counts()
+        expected = make(False).spectrum(10)
+        assert {length: spectrum[length] for length in range(11)} == expected
+
 
 # ----------------------------------------------------------------------
 # Deterministic substreams
@@ -739,8 +774,6 @@ class TestEngine:
     def test_execute_stream_pages_enumeration(self):
         """execute_stream yields paged chunk responses whose items
         concatenate to the full enumeration, for workers=0 and a pool."""
-        from repro.service.protocol import render_witness
-
         expected = [render_witness(w) for w in witness_set_from_spec(SPEC).enumerate()]
         for workers in (0, 2):
             with Engine(workers=workers) as engine:
@@ -803,6 +836,60 @@ class TestSpecs:
         assert witness_set_from_spec(spec).count() == WitnessSet.from_nfa(
             nfa, 5, store=False
         ).count()
+
+
+class _Symbol(str):
+    """A ``str`` subclass symbol, as a decoding relation might produce."""
+
+
+class _Bracketed(str):
+    """A ``str`` subclass whose ``str()`` differs from its value."""
+
+    def __str__(self):
+        return f"[{str.__str__(self)}]"
+
+
+def _reference_rendering(witness):
+    """The two-pass rendering ``render_witness`` replaced."""
+    if isinstance(witness, Path):
+        labels = "".join(map(str, witness.label_word))
+        hops = " → ".join(map(str, witness.vertices()))
+        return f"{labels}  ({hops})"
+    if isinstance(witness, tuple):
+        return word_str(tuple(str(symbol) for symbol in witness))
+    return str(witness)
+
+
+class TestRenderWitness:
+    @pytest.mark.parametrize(
+        "witness",
+        [
+            ("a", "b", "b"),
+            ("ab", "", "cde"),
+            (0, 1, 10),
+            ("a", 1, ("x", 2), None),
+            (_Symbol("q"), "r", _Symbol("st")),
+            ("a", _Bracketed("b")),
+            (),
+            frozenset({1}),
+            42,
+            "plain",
+        ],
+        ids=["chars", "multichar", "ints", "mixed", "str-subclass",
+             "str-subclass-own-str", "empty", "frozenset", "int", "str"],
+    )
+    def test_matches_reference(self, witness):
+        assert render_witness(witness) == _reference_rendering(witness)
+
+    def test_path_witnesses(self):
+        from repro.graphdb.graph import grid_graph
+
+        ws = WitnessSet.from_rpq(grid_graph(3, 3), "(r|d)*", (0, 0), (2, 2), 4)
+        paths = list(ws.enumerate())
+        assert len(paths) == 6 and all(isinstance(p, Path) for p in paths)
+        rendered = [render_witness(p) for p in paths]
+        assert rendered == [_reference_rendering(p) for p in paths]
+        assert "rrdd  ((0, 0) → (1, 0) → (2, 0) → (2, 1) → (2, 2))" in rendered
 
 
 # ----------------------------------------------------------------------
@@ -1282,8 +1369,6 @@ class TestAsyncServe:
     def test_streamed_enumeration_pages_through(self, transport):
         """The chunk lines of a stream are the pages of
         ``Engine.execute_stream``, and together the whole enumeration."""
-        from repro.service.protocol import render_witness
-
         client = transport()
         with Engine(workers=0) as engine:
             pages = [
@@ -1594,8 +1679,6 @@ class TestAsyncServe:
                 streamed = list(client.enumerate(SPEC, chunk_size=7))
                 client.shutdown()
             ws = witness_set_from_spec(SPEC)
-            from repro.service.protocol import render_witness
-
             assert streamed == [render_witness(w) for w in ws.enumerate()]
         finally:
             thread.join(timeout=15)
