@@ -45,13 +45,16 @@ import tempfile
 import threading
 import time
 
+from repro import obs
 from repro.api import WitnessSet
 from repro.automata.nfa import NFA
 from repro.automata.random_gen import random_ufa
 from repro.automata.serialization import nfa_to_json
 from repro.core.kernel import compile_nfa
+from repro.obs import names as metric_names
 from repro.service import Engine, KernelStore, ServiceClient
 from repro.service.fingerprint import fingerprint_source
+from repro.service.protocol import count_view
 from repro.service.server import start_tcp_server_thread
 
 M = 200          # automaton states (the ISSUE-2/ISSUE-4 acceptance instance)
@@ -90,18 +93,36 @@ def _first_query_seconds(nfa, store) -> tuple[int, float]:
     return count, time.perf_counter() - started
 
 
+def _store_counts() -> dict[str, int]:
+    """This process's store counts as ``stats`` reports them, plus mmap
+    hits (the registry is their only record)."""
+    snapshot = obs.metrics().snapshot()
+    counts: dict[str, int] = count_view(snapshot, store=True)["store"]
+    counts["mmap_hits"] = int(
+        snapshot["counters"].get(metric_names.STORE_MMAP_HITS, 0)
+    )
+    return counts
+
+
+def _counted(before: dict[str, int]) -> dict[str, int]:
+    """Store events counted since ``before`` was read."""
+    return {key: value - before[key] for key, value in _store_counts().items()}
+
+
 def test_warm_store_start_beats_cold(observe):
     nfa = _instance()
     root = tempfile.mkdtemp(prefix="repro-bench-store-")
     try:
-        store = KernelStore(root)
-        cold_count, cold_seconds = _first_query_seconds(nfa, store)
-        assert store.stats.stores >= 1, "cold start must persist its kernel"
+        before = _store_counts()
+        cold_count, cold_seconds = _first_query_seconds(nfa, KernelStore(root))
+        cold = _counted(before)
+        assert cold["stores"] >= 1, "cold start must persist its kernel"
 
-        warm = KernelStore(root)  # fresh stats: a new process's view
-        warm_count, warm_seconds = _first_query_seconds(nfa, warm)
+        before = _store_counts()  # the warm start's events only
+        warm_count, warm_seconds = _first_query_seconds(nfa, KernelStore(root))
+        warm = _counted(before)
         assert warm_count == cold_count
-        assert warm.stats.hits >= 1 and warm.stats.misses == 0, (
+        assert warm["hits"] >= 1 and warm["misses"] == 0, (
             "warm start must answer from the store alone"
         )
         speedup = cold_seconds / warm_seconds
@@ -109,7 +130,7 @@ def test_warm_store_start_beats_cold(observe):
             "S1a",
             f"m={M} n={N} first count: cold={cold_seconds:.3f}s "
             f"warm={warm_seconds:.3f}s speedup={speedup:.1f}x "
-            f"(store {warm.stats.as_dict()})",
+            f"(store {warm})",
         )
         assert speedup >= 5.0, (
             f"warm start ({warm_seconds:.3f}s) must be ≥5x faster than cold "
@@ -188,6 +209,7 @@ def test_mmap_store_beats_full_deserialize(observe):
         for _ in range(3):  # best-of-3, alternating so page cache is fair
             for mmap_mode in (False, True):
                 store = KernelStore(root, mmap=mmap_mode)
+                before = _store_counts()
                 started = time.perf_counter()
                 restored = store.get(fingerprint, n, False)
                 counts[mmap_mode] = restored.total_runs
@@ -195,7 +217,7 @@ def test_mmap_store_beats_full_deserialize(observe):
                     seconds[mmap_mode], time.perf_counter() - started
                 )
                 if mmap_mode and restored._borrow_owner is not None:
-                    assert store.stats.extra.get("mmap_hits", 0) == 1, (
+                    assert _counted(before)["mmap_hits"] == 1, (
                         "mmap store must hand out a borrowed (zero-copy) kernel"
                     )
         assert counts[False] == counts[True] == kernel.total_runs

@@ -10,9 +10,6 @@ classes: exact polynomial-time algorithms when the automaton is
 unambiguous (RelationUL, Theorem 5), FPRAS + Las Vegas sampling
 otherwise (RelationNL, Theorem 2/22) — and all shared preprocessing is
 computed once and reused across the calls below.
-
-(The pre-1.1 free functions ``repro.count_words`` / ``uniform_samples``
-still work but are deprecated shims over this facade.)
 """
 
 from __future__ import annotations

@@ -45,10 +45,6 @@ Quick tour::
     shared = WitnessSet.from_intersection(     # witnesses two patterns share
         "(ab|ba)*", "(a|b)*aa(a|b)*", 10)      # (lazy product plan)
     shared.count(), shared.describe()["lowering"]
-
-:data:`shared` is the bounded process-wide cache behind the deprecated
-free functions (``repro.count_words`` etc.), so legacy call sites are
-O(1) after the first query on a given automaton.
 """
 
 from __future__ import annotations
@@ -58,7 +54,6 @@ import itertools
 import os
 import random
 import time
-from collections import OrderedDict
 from typing import Iterator
 
 from repro import backends as _backends
@@ -638,7 +633,7 @@ class WitnessSet:
         batched samplers).
 
         ``seed=`` is an integer alias for ``rng=`` (the spelling the
-        service protocol and the deprecated top-level shims use):
+        service protocol uses):
         ``sample(5, seed=7)`` and ``sample(5, rng=7)`` draw the identical
         stream.  ``rng`` additionally accepts a live ``random.Random`` to
         share a stream across calls; passing both is an error.
@@ -1040,36 +1035,4 @@ class WitnessSet:
         )
 
 
-# ----------------------------------------------------------------------
-# The process-wide shared cache behind the deprecated free functions
-# ----------------------------------------------------------------------
-
-_SHARED_MAXSIZE = 64
-_shared_cache: "OrderedDict[tuple, WitnessSet]" = OrderedDict()
-
-
-def shared(nfa: NFA, n: int, delta: float = 0.1) -> WitnessSet:
-    """The memoized ``(nfa, n, δ) → WitnessSet`` map (bounded LRU).
-
-    NFAs compare by value, so two structurally identical automata share
-    one entry.  This is what makes the legacy free functions O(1) after
-    their first call on a given automaton.
-    """
-    key = (nfa, n, delta)
-    ws = _shared_cache.get(key)
-    if ws is not None:
-        _shared_cache.move_to_end(key)
-        return ws
-    ws = WitnessSet(nfa, n, delta=delta)
-    _shared_cache[key] = ws
-    while len(_shared_cache) > _SHARED_MAXSIZE:
-        _shared_cache.popitem(last=False)
-    return ws
-
-
-def shared_cache_clear() -> None:
-    """Drop every shared entry (tests and long-running processes)."""
-    _shared_cache.clear()
-
-
-__all__ = ["WitnessSet", "CacheStats", "shared", "shared_cache_clear"]
+__all__ = ["WitnessSet", "CacheStats"]

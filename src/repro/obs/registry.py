@@ -15,18 +15,20 @@ Design constraints, in order:
 * **Kill switch.**  ``REPRO_OBS=off`` in the environment (or
   :func:`set_enabled` at runtime) turns every record method into an
   early return so the overhead bench can measure a true baseline.
-  Metrics constructed with ``always=True`` ignore the switch — the
-  functional ``StoreStats`` / ``WitnessSetCache`` counters stay exact
-  views regardless of the observability setting.
+  Counters registered with ``always=True`` ignore the switch: they are
+  the process's only record of store and witness-cache events, and the
+  ``stats`` views are derived from them.
 
 Histograms are log-bucketed at 4 buckets per doubling (relative bucket
 width ``2**0.25 - 1`` ≈ 19%), which bounds percentile error well below
 what latency dashboards care about while keeping snapshots tiny
 (a 1 µs – 1000 s range spans ~160 possible buckets, sparsely occupied).
 
-Thread-safety: metric creation is locked; recording relies on the GIL
-(a lost increment under extreme contention skews telemetry by one, never
-corrupts state), which is the standard trade for zero hot-path locking.
+Thread-safety: metric creation is locked.  Telemetry recording relies
+on the GIL (a lost increment under extreme contention skews telemetry by
+one, never corrupts state), which is the standard trade for zero
+hot-path locking; ``always=True`` counters increment under their own
+lock, so their counts are exact.
 """
 
 from __future__ import annotations
@@ -63,27 +65,45 @@ def set_enabled(value: bool) -> None:
 
 
 class Counter:
-    """Monotonically increasing count.
+    """Monotonically increasing telemetry count: lock-free, and gated by
+    the ``REPRO_OBS`` kill switch."""
 
-    ``always=True`` opts out of the ``REPRO_OBS`` kill switch; use it for
-    counters that double as functional state (cache hit bookkeeping that
-    tests and eviction policies read), never for pure telemetry.
-    """
-
-    __slots__ = ("value", "_always")
+    __slots__ = ("value",)
 
     kind = "counter"
 
-    def __init__(self, always: bool = False) -> None:
+    def __init__(self) -> None:
         self.value: float = 0
-        self._always = always
 
     def inc(self, amount: float = 1) -> None:
-        if _enabled or self._always:
+        if _enabled:
             self.value += amount
 
     def as_value(self) -> float:
         return self.value
+
+
+class ExactCounter(Counter):
+    """A count that is state, not telemetry (``always=True``).
+
+    It ignores the kill switch and increments under a lock, so no
+    concurrent increment is lost: the store and witness-cache counts
+    live here and nowhere else, and the ``stats`` views read them.
+    """
+
+    __slots__ = ("_lock",)
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.value = 0  # guarded-by: _lock
+
+    def inc(self, amount: float = 1) -> None:
+        with self._lock:
+            self.value += amount
+
+    def as_value(self) -> float:
+        with self._lock:
+            return self.value
 
 
 class Gauge:
@@ -280,14 +300,15 @@ class MetricsRegistry:
         *,
         always: bool = False,
     ) -> Counter:
-        """The named counter; ``always=True`` opts it out of ``REPRO_OBS``.
+        """The named counter; ``always=True`` makes it an
+        :class:`ExactCounter`, which ignores ``REPRO_OBS``.
 
         The flag only matters at first registration (later lookups get
         the existing metric unchanged), so every record site of an
         always-on series should pass it.
         """
 
-        factory = (lambda: Counter(always=True)) if always else None
+        factory = ExactCounter if always else None
         return self._get_or_create(series_key(name, labels), Counter, factory)
 
     def gauge(self, name: str, labels: Mapping[str, str] | None = None) -> Gauge:
@@ -314,7 +335,7 @@ class MetricsRegistry:
         with self._lock:
             for key, metric in sorted(self._metrics.items()):
                 if isinstance(metric, Counter):
-                    counters[key] = metric.value
+                    counters[key] = metric.as_value()
                 elif isinstance(metric, Gauge):
                     gauges[key] = metric.value
                 else:
@@ -380,6 +401,7 @@ def reset_metrics() -> MetricsRegistry:
 __all__ = [
     "OBS_ENV",
     "Counter",
+    "ExactCounter",
     "Gauge",
     "Histogram",
     "Metric",

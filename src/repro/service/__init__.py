@@ -18,7 +18,7 @@ package turns the single-process facade into a service:
   run-count tables round-trip exactly.
 * :mod:`repro.service.store` — :class:`KernelStore`, a content-addressed
   on-disk kernel cache keyed by ``(fingerprint, n, mode)`` with LRU size
-  bounding, atomic writes and hit/miss stats.  Wired into the facade, a
+  bounding, atomic writes and hit/miss counts.  Wired into the facade, a
   warm process answers its first query with **zero lowering work**.
 * :mod:`repro.service.engine` — :class:`Engine`, a stdlib
   ``multiprocessing`` worker pool routing requests by fingerprint
@@ -46,7 +46,6 @@ _EXPORTS = {
     "FingerprintError": "fingerprint",
     "fingerprint_source": "fingerprint",
     "KernelStore": "store",
-    "StoreStats": "store",
     "default_store": "store",
     "SnapshotError": "snapshot",
     "kernel_to_bytes": "snapshot",

@@ -43,6 +43,7 @@ from repro.obs import names as metric_names
 from repro.service.protocol import (
     CONTROL_OPS,
     WitnessSetCache,
+    count_view,
     execute_group,
     spec_key,
 )
@@ -101,14 +102,7 @@ def _worker_main(
             }
             if "__seq" in request:
                 response["__seq"] = request["__seq"]
-            response["result"] = (
-                # The stats payload carries this worker's registry
-                # snapshot alongside the classic cache view, so the
-                # engine can merge pool-wide histograms/counters.
-                dict(cache.stats(), metrics=obs.metrics().snapshot())
-                if request["op"] == "stats"
-                else "pong"
-            )
+            response["result"] = cache.stats() if request["op"] == "stats" else "pong"
             results.put((batch_id, group_index, [response]))
             continue
         results.put(
@@ -462,8 +456,8 @@ class Engine:
         histograms merged bucket-wise (see
         :func:`repro.obs.merge_snapshots`) — plus ``workers``/``alive``
         pool gauges.  ``per_worker=True`` returns the raw per-worker
-        entries (one for ``workers=0``), each carrying that worker's
-        cache view and metrics snapshot.
+        entries, each carrying that worker's cache view and metrics
+        snapshot (one entry for ``workers=0``: this process's registry).
         """
         entries = self._worker_stats()
         if per_worker:
@@ -472,32 +466,21 @@ class Engine:
 
     @staticmethod
     def aggregate_stats(entries: list[dict[str, Any]]) -> dict[str, Any]:
-        """Merge per-worker stats entries into one pool-wide summary."""
-        aggregated: dict[str, Any] = {
+        """Merge per-worker stats entries into one pool-wide summary.
+
+        The counts come from the merged registry snapshots, through the
+        same map that gives each worker its own (:func:`count_view`).
+        """
+        merged = obs.merge_snapshots(
+            entry["metrics"] for entry in entries if entry.get("metrics")
+        )
+        return {
             "workers": len(entries),
             "alive": sum(1 for entry in entries if entry.get("alive")),
-            "resident": 0,
-            "hits": 0,
-            "misses": 0,
+            "resident": sum(entry.get("resident", 0) for entry in entries),
+            **count_view(merged, any("store" in entry for entry in entries)),
+            "metrics": merged,
         }
-        store_totals: dict[str, int] = {}
-        snapshots: list[dict[str, Any]] = []
-        for entry in entries:
-            aggregated["resident"] += entry.get("resident", 0)
-            aggregated["hits"] += entry.get("hits", 0)
-            aggregated["misses"] += entry.get("misses", 0)
-            for key, value in (entry.get("store") or {}).items():
-                store_totals[key] = store_totals.get(key, 0) + value
-            snapshot = entry.get("metrics")
-            if snapshot:
-                snapshots.append(snapshot)
-        if store_totals:
-            aggregated["store"] = store_totals
-        # Worker-process metrics only: with workers=0 the engine shares
-        # the embedding process's registry, which the caller (the server
-        # layer) merges in itself — merging it here would double-count.
-        aggregated["metrics"] = obs.merge_snapshots(snapshots)
-        return aggregated
 
     def _worker_stats(self) -> list[dict[str, Any]]:
         """Per-worker cache stats (one entry for workers=0).

@@ -361,41 +361,66 @@ def paging_rounds(
 # ----------------------------------------------------------------------
 
 
+#: ``stats`` view key → registry series.  The views' counts are read
+#: from a registry snapshot: a worker's from its own, the pool total
+#: from the merged one, so the total is the sum of the workers' values.
+_CACHE_COUNTS = {"hits": metric_names.CACHE_HITS, "misses": metric_names.CACHE_MISSES}
+_STORE_COUNTS = {
+    "hits": metric_names.STORE_HITS,
+    "misses": metric_names.STORE_MISSES,
+    "stores": metric_names.STORE_STORES,
+    "evictions": metric_names.STORE_EVICTIONS,
+    "corrupt": metric_names.STORE_CORRUPT,
+    "skipped": metric_names.STORE_SKIPPED,
+}
+
+
+def count_view(snapshot: dict[str, Any], store: bool) -> dict[str, Any]:
+    """The ``hits``/``misses`` (and, with ``store``, ``store``) entries
+    of a ``stats`` view, read from one registry snapshot."""
+    counters = snapshot.get("counters", {})
+    view: dict[str, Any] = {
+        key: int(counters.get(series, 0)) for key, series in _CACHE_COUNTS.items()
+    }
+    if store:
+        view["store"] = {
+            key: int(counters.get(series, 0)) for key, series in _STORE_COUNTS.items()
+        }
+    return view
+
+
 class WitnessSetCache:
     """Bounded LRU of resident witness sets, keyed by spec key.
 
     This is a worker's hot-kernel memory: the reason the engine routes
     by affinity is so repeated queries on one spec land where this cache
-    already holds the compiled artifacts.
+    already holds the compiled artifacts.  Hits and misses are counted
+    in the process metrics registry; a serving process holds one cache,
+    so they are its counts, and their ratio is the engine's affinity
+    hit rate.
     """
 
     max_resident: int
     store: KernelStore | None
-    hits: int
-    misses: int
     _cache: OrderedDict[str, WitnessSet]
 
     def __init__(self, max_resident: int = 64, store: KernelStore | None = None) -> None:
         self.max_resident = max_resident
         self.store = store
-        # Exact per-instance counts (functional state: tests and the
-        # ``stats`` view read them regardless of REPRO_OBS); every
-        # increment is mirrored into the process metrics registry so the
-        # exposition layer can aggregate hit rates across workers —
-        # this is also the engine's affinity hit rate, since affinity
-        # routing exists exactly to land repeats on a resident entry.
-        self.hits = 0
-        self.misses = 0
         self._cache = OrderedDict()
+
+    @property
+    def hits(self) -> int:
+        """This process's witness-cache hits so far."""
+        counter = obs.metrics().counter(metric_names.CACHE_HITS, always=True)
+        return int(counter.as_value())
 
     def get(self, key: str, spec: dict[str, Any]) -> WitnessSet:
         ws = self._cache.get(key)
         if ws is not None:
-            self.hits += 1
             obs.metrics().counter(metric_names.CACHE_HITS, always=True).inc()
             self._cache.move_to_end(key)
             return ws
-        self.misses += 1
         obs.metrics().counter(metric_names.CACHE_MISSES, always=True).inc()
         ws = witness_set_from_spec(
             spec, store=self.store if self.store is not None else False
@@ -406,14 +431,14 @@ class WitnessSetCache:
         return ws
 
     def stats(self) -> dict[str, Any]:
-        stats: dict[str, Any] = {
+        """This process's view: resident sets, cache (and store) counts,
+        and the registry snapshot the counts were read from."""
+        snapshot = obs.metrics().snapshot()
+        return {
             "resident": len(self._cache),
-            "hits": self.hits,
-            "misses": self.misses,
+            **count_view(snapshot, self.store is not None),
+            "metrics": snapshot,
         }
-        if self.store is not None:
-            stats["store"] = self.store.stats.as_dict()
-        return stats
 
 
 def _execute_one(ws: WitnessSet, request: dict[str, Any]) -> Any:
@@ -642,5 +667,6 @@ __all__ = [
     "draw_samples",
     "draw_samples_coalesced",
     "WitnessSetCache",
+    "count_view",
     "execute_group",
 ]

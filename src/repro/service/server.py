@@ -187,21 +187,22 @@ def _aggregate_server_stats(engine: Engine) -> dict[str, Any]:
     """The enriched ``stats`` payload: engine summary plus merged metrics.
 
     The metrics snapshot merges this process's registry (server counters,
-    request/stage histograms, and — with ``workers=0`` — the embedded
-    cache/store counters) with every worker's snapshot, so one scrape
-    sees the whole pool.  The classic per-worker entry list, computed
-    for the summary anyway, rides along under ``"workers"``; the server
-    drops it unless the request asked for ``per_worker``.
+    request/stage histograms) with every worker's snapshot, so one scrape
+    sees the whole pool.  With ``workers=0`` the engine's one entry
+    already is this process's registry, so it is merged once, not twice.
+    The per-worker entry list, computed for the summary anyway, rides
+    along under ``"workers"``; the server drops it unless the request
+    asked for ``per_worker``.
     """
     entries = engine.stats(per_worker=True)
     assert isinstance(entries, list)
     summary = Engine.aggregate_stats(entries)
-    worker_metrics = summary.pop("metrics", None) or {}
+    snapshots = [summary.pop("metrics")]
+    if engine.workers:
+        snapshots.append(obs.metrics().snapshot())
     return {
         "engine": summary,
-        "metrics": obs.merge_snapshots(
-            [obs.metrics().snapshot(), worker_metrics]
-        ),
+        "metrics": obs.merge_snapshots(snapshots),
         "workers": entries,
     }
 

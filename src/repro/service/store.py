@@ -20,8 +20,9 @@ finished artifact:
 * **corruption recovery**: an unreadable entry (truncated write, bad
   magic, garbage) is quarantined — deleted and counted — and the caller
   simply rebuilds, as for a miss;
-* **stats**: hits / misses / stores / evictions / corrupt counts on
-  :attr:`KernelStore.stats`.
+* **stats**: hits / misses / stores / evictions / corrupt / skipped
+  events are counted once each, in the process metrics registry
+  (``repro_store_*_total``); the ``stats`` views read them there.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import threading
 import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
@@ -55,161 +55,9 @@ STORE_ENV = "REPRO_KERNEL_STORE"
 _SUFFIX = ".kern"
 
 
-class StoreStats:
-    """Counters for one :class:`KernelStore` instance.
-
-    Re-based onto :mod:`repro.obs`: the per-instance fields stay exact
-    plain integers (they are functional state — tests and callers read
-    them regardless of the ``REPRO_OBS`` switch), and every increment is
-    mirrored into the process metrics registry
-    (``repro_store_*_total``), where the exposition layer aggregates
-    them across stores and worker processes.  :meth:`as_dict` is the
-    same view it always was.
-
-    A store is shared across threads (the facade's process default is
-    hit from the engine's executor thread and the caller's), so the
-    counters are guarded by ``_lock``: hot paths bump them through the
-    atomic :meth:`inc`, and the property accessors take the lock.  A
-    bare ``stats.hits += 1`` from outside remains two separate locked
-    operations — use :meth:`inc` anywhere the count must be exact.
-    ``_lock`` is never held across a call that takes another StoreStats
-    lock, and the registry mirror inside it only ever acquires the
-    registry creation lock — one global order, no cycles.
-    """
-
-    __slots__ = ("_hits", "_misses", "_stores", "_evictions", "_corrupt",
-                 "_skipped", "_lock", "extra")
-
-    _SERIES = {
-        "hits": metric_names.STORE_HITS,
-        "misses": metric_names.STORE_MISSES,
-        "stores": metric_names.STORE_STORES,
-        "evictions": metric_names.STORE_EVICTIONS,
-        "corrupt": metric_names.STORE_CORRUPT,
-        "skipped": metric_names.STORE_SKIPPED,
-    }
-
-    def __init__(
-        self,
-        hits: int = 0,
-        misses: int = 0,
-        stores: int = 0,
-        evictions: int = 0,
-        corrupt: int = 0,
-        skipped: int = 0,
-        extra: dict[str, Any] | None = None,
-    ) -> None:
-        self._lock = threading.Lock()
-        self._hits = hits  # guarded-by: _lock
-        self._misses = misses  # guarded-by: _lock
-        self._stores = stores  # guarded-by: _lock
-        self._evictions = evictions  # guarded-by: _lock
-        self._corrupt = corrupt  # guarded-by: _lock
-        self._skipped = skipped  # guarded-by: _lock
-        self.extra: dict[str, Any] = dict(extra) if extra else {}
-
-    @staticmethod
-    def _mirror(series: str, delta: int) -> None:
-        # always=True: the mirrored registry series must stay exact
-        # alongside the functional view, whatever REPRO_OBS says.
-        if delta > 0:
-            metrics().counter(series, always=True).inc(delta)
-
-    def inc(self, series: str, delta: int = 1) -> None:
-        """Atomically bump one counter and its mirrored registry series.
-
-        The ``stats.hits += 1`` spelling expands to a property read and
-        a property write — two lock acquisitions with a window between
-        them where a concurrent increment is lost.  ``inc`` does the
-        read-modify-write under one hold, so it is the only spelling
-        the store's hot paths use.
-        """
-        if series not in self._SERIES:
-            raise ValueError(f"unknown store counter {series!r}")
-        name = "_" + series
-        with self._lock:
-            self._mirror(self._SERIES[series], delta)
-            setattr(self, name, getattr(self, name) + delta)
-
-    @property
-    def hits(self) -> int:
-        with self._lock:
-            return self._hits
-
-    @hits.setter
-    def hits(self, value: int) -> None:
-        with self._lock:
-            self._mirror(self._SERIES["hits"], value - self._hits)
-            self._hits = value
-
-    @property
-    def misses(self) -> int:
-        with self._lock:
-            return self._misses
-
-    @misses.setter
-    def misses(self, value: int) -> None:
-        with self._lock:
-            self._mirror(self._SERIES["misses"], value - self._misses)
-            self._misses = value
-
-    @property
-    def stores(self) -> int:
-        with self._lock:
-            return self._stores
-
-    @stores.setter
-    def stores(self, value: int) -> None:
-        with self._lock:
-            self._mirror(self._SERIES["stores"], value - self._stores)
-            self._stores = value
-
-    @property
-    def evictions(self) -> int:
-        with self._lock:
-            return self._evictions
-
-    @evictions.setter
-    def evictions(self, value: int) -> None:
-        with self._lock:
-            self._mirror(self._SERIES["evictions"], value - self._evictions)
-            self._evictions = value
-
-    @property
-    def corrupt(self) -> int:
-        with self._lock:
-            return self._corrupt
-
-    @corrupt.setter
-    def corrupt(self, value: int) -> None:
-        with self._lock:
-            self._mirror(self._SERIES["corrupt"], value - self._corrupt)
-            self._corrupt = value
-
-    @property
-    def skipped(self) -> int:
-        with self._lock:
-            return self._skipped
-
-    @skipped.setter
-    def skipped(self, value: int) -> None:
-        with self._lock:
-            self._mirror(self._SERIES["skipped"], value - self._skipped)
-            self._skipped = value
-
-    def as_dict(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                "hits": self._hits,
-                "misses": self._misses,
-                "stores": self._stores,
-                "evictions": self._evictions,
-                "corrupt": self._corrupt,
-                "skipped": self._skipped,
-            }
-
-    def __repr__(self) -> str:  # pragma: no cover - diagnostics
-        return f"StoreStats({self.as_dict()!r}, extra={self.extra!r})"
+def _count(series: str) -> None:
+    """Count one store event in the process registry (exact, always on)."""
+    metrics().counter(series, always=True).inc()
 
 
 class KernelStore:
@@ -236,7 +84,6 @@ class KernelStore:
     root: Path
     max_bytes: int
     mmap: bool
-    stats: StoreStats
 
     def __init__(
         self,
@@ -247,7 +94,6 @@ class KernelStore:
         self.root = Path(root)
         self.max_bytes = max_bytes
         self.mmap = mmap
-        self.stats = StoreStats()
 
     # ------------------------------------------------------------------
     # Keys and paths
@@ -299,12 +145,8 @@ class KernelStore:
                 kernel = kernel_from_mmap(path, source_resolver=source_resolver)
                 kernel.fingerprint = fingerprint
                 if kernel._borrow_owner is not None:
-                    count = self.stats.extra.get("mmap_hits", 0)
-                    self.stats.extra["mmap_hits"] = count + 1
-                    metrics().counter(
-                        metric_names.STORE_MMAP_HITS, always=True
-                    ).inc()
-                self.stats.inc("hits")
+                    _count(metric_names.STORE_MMAP_HITS)
+                _count(metric_names.STORE_HITS)
                 try:
                     os.utime(path)
                 except OSError:  # pragma: no cover - entry may have been evicted
@@ -312,11 +154,11 @@ class KernelStore:
                 return kernel
             data = path.read_bytes()
         except OSError:
-            self.stats.inc("misses")
+            _count(metric_names.STORE_MISSES)
             return None
         except SnapshotError:
-            self.stats.inc("corrupt")
-            self.stats.inc("misses")
+            _count(metric_names.STORE_CORRUPT)
+            _count(metric_names.STORE_MISSES)
             try:
                 path.unlink()
             except OSError:  # pragma: no cover - racing unlink is fine
@@ -326,14 +168,14 @@ class KernelStore:
             kernel = kernel_from_bytes(data, source_resolver=source_resolver)
             kernel.fingerprint = fingerprint  # the content-address it was stored under
         except SnapshotError:
-            self.stats.inc("corrupt")
-            self.stats.inc("misses")
+            _count(metric_names.STORE_CORRUPT)
+            _count(metric_names.STORE_MISSES)
             try:
                 path.unlink()
             except OSError:  # pragma: no cover - racing unlink is fine
                 pass
             return None
-        self.stats.inc("hits")
+        _count(metric_names.STORE_HITS)
         try:
             os.utime(path)
         except OSError:  # pragma: no cover - entry may have been evicted
@@ -349,7 +191,7 @@ class KernelStore:
         try:
             data = kernel_to_bytes(kernel)
         except SnapshotError:
-            self.stats.inc("skipped")
+            _count(metric_names.STORE_SKIPPED)
             return False
         path = self.path_for(fingerprint, n, trimmed)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -366,7 +208,7 @@ class KernelStore:
             except OSError:
                 pass
             raise
-        self.stats.inc("stores")
+        _count(metric_names.STORE_STORES)
         self._evict_over_budget()
         return True
 
@@ -392,7 +234,7 @@ class KernelStore:
             if not isinstance(meta, dict):
                 raise ValueError("metadata must be a JSON object")
         except ValueError:
-            self.stats.inc("corrupt")
+            _count(metric_names.STORE_CORRUPT)
             try:
                 path.unlink()
             except OSError:  # pragma: no cover
@@ -489,7 +331,7 @@ class KernelStore:
             except OSError:  # pragma: no cover - racing eviction
                 continue
             total -= size
-            self.stats.inc("evictions")
+            _count(metric_names.STORE_EVICTIONS)
         # A sidecar whose every snapshot is gone is stranded: drop it so
         # the directory stays bounded along with the byte budget.
         live = {path.name.split("-n", 1)[0] for path in self.entries()}
@@ -498,7 +340,7 @@ class KernelStore:
             if fingerprint not in live:
                 try:
                     path.unlink()
-                    self.stats.inc("evictions")
+                    _count(metric_names.STORE_EVICTIONS)
                 except OSError:  # pragma: no cover - racing eviction
                     pass
 
@@ -517,13 +359,10 @@ class KernelStore:
         return removed
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics
-        return (
-            f"<KernelStore root={str(self.root)!r} entries={len(self.entries())} "
-            f"stats={self.stats.as_dict()}>"
-        )
+        return f"<KernelStore root={str(self.root)!r} entries={len(self.entries())}>"
 
 
-#: Process-wide default store, memoized per root so stats accumulate.
+#: Process-wide default store, memoized per root.
 _default: KernelStore | None = None
 
 
@@ -533,8 +372,7 @@ def default_store() -> KernelStore | None:
     The facade consults this when no explicit ``store=`` was passed, so
     pointing the environment variable at a directory turns on warm-start
     caching for every WitnessSet in the process — the zero-code-change
-    deployment switch.  One instance per process (per root), so its
-    stats accumulate across witness sets.
+    deployment switch.  One instance per process (per root).
     """
     global _default
     root = os.environ.get(STORE_ENV)
@@ -545,4 +383,4 @@ def default_store() -> KernelStore | None:
     return _default
 
 
-__all__ = ["KernelStore", "StoreStats", "default_store", "DEFAULT_MAX_BYTES", "STORE_ENV"]
+__all__ = ["KernelStore", "default_store", "DEFAULT_MAX_BYTES", "STORE_ENV"]

@@ -12,6 +12,7 @@ import zlib
 
 import pytest
 
+from repro import obs
 from repro.automata.nfa import NFA
 
 
@@ -64,3 +65,25 @@ def endswith_one_nfa() -> NFA:
 def abc_chain_nfa() -> NFA:
     """Unambiguous: the single word 'abc'."""
     return NFA.single_word(tuple("abc"), alphabet="abc")
+
+
+class CounterDeltas:
+    """Process-registry counter deltas since construction.
+
+    Store and witness-cache events are counted per process, in the obs
+    registry; a test reads what an operation counted as the change of a
+    series around it: ``counts[metric_names.STORE_HITS]``.
+    """
+
+    def __init__(self) -> None:
+        self._before = obs.metrics().snapshot()["counters"]
+
+    def __getitem__(self, series: str) -> float:
+        now = obs.metrics().snapshot()["counters"]
+        return now.get(series, 0) - self._before.get(series, 0)
+
+
+@pytest.fixture
+def counts() -> CounterDeltas:
+    """Registry counter deltas over the test body (see :class:`CounterDeltas`)."""
+    return CounterDeltas()

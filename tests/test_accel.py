@@ -30,6 +30,7 @@ from repro.core.fpras import FprasParameters, FprasState
 from repro.core.kernel import CompiledDAG, compile_nfa
 from repro.core.spectrum import SpectrumSolver
 from repro.errors import UnknownBackendError
+from repro.obs import names as metric_names
 from repro.service.snapshot import (
     MAGIC,
     SNAPSHOT_VERSION,
@@ -348,7 +349,7 @@ def test_mmap_corrupt_and_empty_files_raise(tmp_path):
         kernel_from_mmap(garbage)
 
 
-def test_store_mmap_mode_hits_and_quarantines(tmp_path):
+def test_store_mmap_mode_hits_and_quarantines(tmp_path, counts):
     from repro.service.fingerprint import fingerprint_source
 
     nfa, kernel = built_kernel()
@@ -362,12 +363,12 @@ def test_store_mmap_mode_hits_and_quarantines(tmp_path):
     assert restored.total_runs == kernel.total_runs
     if LP64:
         assert restored._borrow_owner is not None
-        assert store.stats.extra.get("mmap_hits", 0) == 1
+        assert counts[metric_names.STORE_MMAP_HITS] == 1
     # Corrupt entries are quarantined exactly like the copying path.
     path = store.path_for(fp, kernel.n, False)
     path.write_bytes(b"RPROKRN1garbage")
     assert store.get(fp, kernel.n, False) is None
-    assert store.stats.corrupt == 1
+    assert counts[metric_names.STORE_CORRUPT] == 1
     assert not path.exists()
 
 

@@ -329,6 +329,26 @@ class TestVersionAndUsage:
 
         assert repro.__version__ in out
 
+    def test_version_has_one_source(self):
+        """``pyproject.toml`` takes the version from ``repro.__version__``;
+        a literal there drifts from what ``repro --version`` prints."""
+        from pathlib import Path
+
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        tables: dict[str, list[str]] = {}
+        lines: list[str] = []
+        for line in text.splitlines():
+            stripped = line.strip()
+            if stripped.startswith("["):
+                lines = tables.setdefault(stripped, [])
+            elif stripped and not stripped.startswith("#"):
+                lines.append(stripped.replace(" ", ""))
+        assert not any(line.startswith("version=") for line in tables["[project]"])
+        assert 'dynamic=["version"]' in tables["[project]"]
+        assert 'version={attr="repro.__version__"}' in tables[
+            "[tool.setuptools.dynamic]"
+        ]
+
     def test_no_subcommand_exits_2_with_usage(self, capsys):
         assert main([]) == 2
         err = capsys.readouterr().err

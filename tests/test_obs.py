@@ -9,8 +9,8 @@ Covers the PR's acceptance checklist:
   per-stage seconds whether executed in-process or across a pool;
 * a golden test for the Prometheus text exposition;
 * slow-query threshold behavior, including the server's JSONL sink;
-* the classic ``StoreStats.as_dict()`` / ``WitnessSetCache.stats()``
-  views stay intact on top of the registry re-base.
+* the ``stats`` views (per worker and pool-wide) are read from the
+  registry, which holds the only store and witness-cache counts.
 """
 
 from __future__ import annotations
@@ -98,10 +98,35 @@ class TestRegistry:
         assert counter.value == 1
 
     def test_always_counter_ignores_kill_switch(self):
-        counter = obs.Counter(always=True)
+        from repro.obs.registry import ExactCounter
+
+        counter = ExactCounter()
         obs.set_enabled(False)
         counter.inc(3)
         assert counter.value == 3
+
+    def test_always_counter_loses_no_concurrent_increment(self):
+        import sys
+        import threading
+
+        counter = obs.metrics().counter("exact_total", always=True)
+
+        def bump() -> None:
+            for _ in range(10_000):
+                counter.inc()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=bump) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert counter.value == 80_000
 
     def test_registry_always_counter_ignores_kill_switch(self):
         counter = obs.metrics().counter("functional_total", always=True)
@@ -407,25 +432,37 @@ class TestSlowLog:
 
 
 # ----------------------------------------------------------------------
-# Classic stats views stay intact on the registry re-base
+# The stats views read their counts from the registry
 # ----------------------------------------------------------------------
 
 
-class TestBackCompatViews:
-    def test_store_stats_as_dict(self):
-        from repro.service.store import StoreStats
+def _store_events(tmp_path, gets: int):
+    """A cache over a fresh store: one miss, one put, then ``gets`` hits."""
+    from repro.automata import compile_regex
+    from repro.core.kernel import compile_nfa
+    from repro.service.protocol import WitnessSetCache
+    from repro.service.store import KernelStore
 
-        stats = StoreStats()
-        stats.hits += 2
-        stats.misses += 1
-        stats.extra["mmap_hits"] = 1
-        view = stats.as_dict()
+    store = KernelStore(tmp_path)
+    nfa = compile_regex("(ab|ba)*", alphabet="ab").without_epsilon()
+    kernel = compile_nfa(nfa, 4, trimmed=True)
+    fingerprint = "ab" * 32
+    assert store.get(fingerprint, 4, True) is None
+    assert store.put(fingerprint, 4, True, kernel)
+    for _ in range(gets):
+        assert store.get(fingerprint, 4, True) is not None
+    return WitnessSetCache(max_resident=4, store=store)
+
+
+class TestBackCompatViews:
+    def test_store_stats_as_dict(self, tmp_path):
+        view = _store_events(tmp_path, gets=2).stats()["store"]
         assert view["hits"] == 2 and view["misses"] == 1
+        assert view["stores"] == 1
         assert set(view) == {
             "hits", "misses", "stores", "evictions", "corrupt", "skipped"
         }
-        assert stats.extra["mmap_hits"] == 1
-        # The registry mirrored the functional counters.
+        # The view is read from the registry series, the only count.
         counters = obs.metrics().snapshot()["counters"]
         assert counters[metric_names.STORE_HITS] == 2
         assert counters[metric_names.STORE_MISSES] == 1
@@ -443,15 +480,11 @@ class TestBackCompatViews:
         assert counters[metric_names.CACHE_HITS] == 1
         assert counters[metric_names.CACHE_MISSES] == 1
 
-    def test_store_stats_exact_under_kill_switch(self):
-        from repro.service.store import StoreStats
-
+    def test_store_stats_exact_under_kill_switch(self, tmp_path):
         obs.set_enabled(False)
-        stats = StoreStats()
-        stats.hits += 3
-        assert stats.as_dict()["hits"] == 3  # the functional view is exact
-        # ... and the mirrored registry series tracks it even with
-        # REPRO_OBS off: the snapshot never diverges from the exact view.
+        cache = _store_events(tmp_path, gets=3)
+        assert cache.stats()["store"]["hits"] == 3  # the view is exact
+        # ... because store events count with REPRO_OBS off too.
         counters = obs.metrics().snapshot()["counters"]
         assert counters[metric_names.STORE_HITS] == 3
         obs.set_enabled(True)
@@ -465,7 +498,7 @@ class TestBackCompatViews:
         cache.get(spec_key(SPEC), SPEC)
         counters = obs.metrics().snapshot()["counters"]
         assert counters[metric_names.CACHE_HITS] == cache.hits == 1
-        assert counters[metric_names.CACHE_MISSES] == cache.misses == 1
+        assert counters[metric_names.CACHE_MISSES] == cache.stats()["misses"] == 1
         obs.set_enabled(True)
 
 
@@ -475,11 +508,12 @@ class TestBackCompatViews:
 
 
 @pytest.fixture()
-def live_server():
+def live_server(request):
+    """A TCP server over an engine with ``request.param`` workers (2)."""
     from repro.service.engine import Engine
     from repro.service.server import start_tcp_server_thread
 
-    engine = Engine(workers=2, store_root=False)
+    engine = Engine(workers=getattr(request, "param", 2), store_root=False)
     thread, (host, port) = start_tcp_server_thread(engine)
     yield host, port
     from repro.service.client import ServiceClient
@@ -491,9 +525,11 @@ def live_server():
 
 
 class TestServingSurfaces:
-    def test_stats_op_aggregates_pool(self, live_server):
+    @pytest.mark.parametrize("live_server", [0, 2], indirect=True)
+    def test_stats_op_aggregates_pool(self, live_server, request):
         from repro.service.client import ServiceClient
 
+        workers = request.node.callspec.params["live_server"]
         host, port = live_server
         with ServiceClient(host, port) as client:
             for index in range(4):
@@ -501,17 +537,25 @@ class TestServingSurfaces:
             stats = client.result("stats")
             detailed = client.result("stats", per_worker=True)
         assert stats["served"] >= 4
-        assert stats["engine"]["workers"] == 2
+        engine = stats["engine"]
+        assert engine["workers"] == max(workers, 1)
         counters = stats["metrics"]["counters"]
+        # Each registry is merged once: the embedded (workers=0) one too.
         sample_series = obs.series_key(
             metric_names.PROTOCOL_REQUESTS, {"op": "sample"}
         )
         assert counters[sample_series] == 4
+        assert engine["hits"] == counters[metric_names.CACHE_HITS] == 3
+        assert engine["misses"] == counters[metric_names.CACHE_MISSES] == 1
         assert any(
             key.startswith(metric_names.REQUEST_SECONDS)
             for key in stats["metrics"]["histograms"]
         )
-        assert len(detailed["workers"]) == 2
+        entries = detailed["workers"]
+        assert len(entries) == max(workers, 1)
+        pool = detailed["engine"]
+        for key in ("hits", "misses"):
+            assert pool[key] == sum(entry[key] for entry in entries)
 
     def test_metrics_endpoint_scrapes(self, live_server):
         from repro.service.client import ServiceClient

@@ -351,14 +351,15 @@ class TestKernelStore:
         kernel.backward_counts()
         return fingerprint_source(nfa), kernel
 
-    def test_put_get_round_trip(self, store):
+    def test_put_get_round_trip(self, store, counts):
         fp, kernel = self._kernel()
         assert store.get(fp, 8, True) is None
         assert store.put(fp, 8, True, kernel)
         restored = store.get(fp, 8, True)
         assert restored is not None
         assert restored.total_runs == kernel.total_runs
-        assert store.stats.hits == 1 and store.stats.misses == 1
+        assert counts[metric_names.STORE_HITS] == 1
+        assert counts[metric_names.STORE_MISSES] == 1
 
     def test_keys_distinguish_mode_and_length(self, store):
         fp, kernel = self._kernel()
@@ -366,40 +367,40 @@ class TestKernelStore:
         assert store.get(fp, 8, False) is None
         assert store.get(fp, 9, True) is None
 
-    def test_corruption_recovery(self, store):
+    def test_corruption_recovery(self, store, counts):
         fp, kernel = self._kernel()
         store.put(fp, 8, True, kernel)
         path = store.path_for(fp, 8, True)
         path.write_bytes(b"RPROKRN1" + b"\x00" * 16)  # valid magic, garbage body
         assert store.get(fp, 8, True) is None
-        assert store.stats.corrupt == 1
+        assert counts[metric_names.STORE_CORRUPT] == 1
         assert not path.exists()  # quarantined
         # The store heals: a fresh put serves hits again.
         store.put(fp, 8, True, kernel)
         assert store.get(fp, 8, True) is not None
 
-    def test_truncated_entry_recovery(self, store):
+    def test_truncated_entry_recovery(self, store, counts):
         fp, kernel = self._kernel()
         store.put(fp, 8, True, kernel)
         path = store.path_for(fp, 8, True)
         path.write_bytes(path.read_bytes()[:40])
         assert store.get(fp, 8, True) is None
-        assert store.stats.corrupt == 1
+        assert counts[metric_names.STORE_CORRUPT] == 1
 
-    def test_lru_eviction(self, store):
+    def test_lru_eviction(self, store, counts):
         fp0, kernel0 = self._kernel(0)
         entry_size = len(kernel_to_bytes(kernel0))
         store.max_bytes = int(entry_size * 2.5)  # room for two entries
         store.put(fp0, 8, True, kernel0)
         fp1, kernel1 = self._kernel(1)
         store.put(fp1, 8, True, kernel1)
-        assert store.stats.evictions == 0
+        assert counts[metric_names.STORE_EVICTIONS] == 0
         # Touch fp0 so fp1 becomes the LRU victim.
         os.utime(store.path_for(fp1, 8, True), (1, 1))
         assert store.get(fp0, 8, True) is not None
         fp2, kernel2 = self._kernel(2)
         store.put(fp2, 8, True, kernel2)
-        assert store.stats.evictions >= 1
+        assert counts[metric_names.STORE_EVICTIONS] >= 1
         assert store.get(fp1, 8, True) is None      # evicted
         assert store.get(fp0, 8, True) is not None  # kept (recently used)
         assert store.get(fp2, 8, True) is not None  # newest
@@ -473,7 +474,7 @@ class TestKernelStore:
 
 
 class TestWitnessSetStoreWiring:
-    def test_warm_start_hits_store(self, store):
+    def test_warm_start_hits_store(self, store, counts):
         nfa = random_ufa(30, rng=SEED, completeness=0.9, ensure_nonempty_length=16)
         cold = WitnessSet.from_nfa(nfa, 16, store=store)
         count = cold.count()
@@ -481,7 +482,7 @@ class TestWitnessSetStoreWiring:
         warm = WitnessSet.from_nfa(nfa, 16, store=store)
         assert warm.count() == count
         assert warm.sample_batch(5, rng=3, use_substreams=True) == samples
-        assert store.stats.hits >= 1
+        assert counts[metric_names.STORE_HITS] >= 1
         # The warm set never unrolled or lowered anything: its kernel
         # came from the snapshot (only a compiled kernel records its
         # unrolling pass), and the stripped automaton was never built.
@@ -495,7 +496,7 @@ class TestWitnessSetStoreWiring:
         assert warm.is_unambiguous
         assert "stripped" not in warm._cache  # certificate came from meta
 
-    def test_plan_backed_sets_round_trip(self, store):
+    def test_plan_backed_sets_round_trip(self, store, counts):
         # An unambiguous product, so count/sample run on the kernel
         # (ambiguous plans fall back to the subset counter, which never
         # compiles — nothing to persist).
@@ -506,15 +507,15 @@ class TestWitnessSetStoreWiring:
         assert cold.count() == baseline.count()
         warm = WitnessSet.from_intersection(*operands, store=store)
         assert warm.count() == baseline.count()
-        assert store.stats.hits >= 1
+        assert counts[metric_names.STORE_HITS] >= 1
         assert warm.describe()["lowering"] is not None
 
-    def test_unfingerprintable_source_opts_out(self, store):
+    def test_unfingerprintable_source_opts_out(self, store, counts):
         marker = object()
         nfa = NFA([marker], ["a"], [(marker, "a", marker)], marker, [marker])
         ws = WitnessSet.from_nfa(nfa, 4, store=store)
         assert ws.count() == 1  # still answers, just without persistence
-        assert store.stats.stores == 0
+        assert counts[metric_names.STORE_STORES] == 0
 
     def test_backend_guard_verifies_restored_kernels(self, store):
         """A snapshot-restored kernel passes the kernel= guard for its
